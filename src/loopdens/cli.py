@@ -10,6 +10,7 @@ losslessly; every command is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -23,9 +24,9 @@ from .closed_form import (
     residual_scale_power,
 )
 from .fsz import kummer_contiguous, kummer_contiguous_numeric, hyp2f1_at_minus_one, kummer_parameter_sweep
-from .montecarlo import MCConfig, run as mc_run, stats_json
+from .montecarlo import MCConfig, run as mc_run, stats_payload
 from .tq_identities import FSZ_IDENTITIES, TQ_IDENTITIES, VerifyResult, verify_suite
-from .transfer_oracle import matrix_json, oracle_densities
+from .transfer_oracle import check_oracle_l, matrix_json, oracle_densities
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -156,13 +157,22 @@ def cmd_verify(args, out) -> int:
 
 def cmd_oracle(args, out) -> int:
     l = args.l
-    if l not in (2, 4, 6, 8):
-        raise SystemExit2(f"oracle supports L in {{2, 4, 6, 8}}, got {l}")
-    rec = oracle_densities(l)
-    exact_c, exact_nc = nu_c_exact(l // 2), nu_nc_exact(l // 2)
+    try:
+        check_oracle_l(l)
+    except ValueError as exc:
+        raise SystemExit2(f"oracle: {exc}")
+    dump = contextlib.nullcontext()
     if args.dump_matrix:
-        with open(args.dump_matrix, "w", encoding="utf-8") as fh:
+        # opened before the oracle runs, so a bad path fails fast
+        try:
+            dump = open(args.dump_matrix, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SystemExit2(f"cannot write --dump-matrix {args.dump_matrix!r}: {exc.strerror or exc}")
+    with dump as fh:
+        rec = oracle_densities(l)
+        if fh is not None:
             json.dump(matrix_json(l), fh, indent=2)
+    exact_c, exact_nc = nu_c_exact(l // 2), nu_nc_exact(l // 2)
     match = rec.nu_c == exact_c and rec.nu_nc == exact_nc
     out.write(f"L={l}\n")
     out.write(f"oracle:      nu_c={rec.nu_c}  nu_nc={rec.nu_nc}\n")
@@ -171,22 +181,38 @@ def cmd_oracle(args, out) -> int:
     return EXIT_OK if match else EXIT_FAIL
 
 
+def _worker_count(args) -> int:
+    if args.workers is not None:
+        workers, source = args.workers, "--workers"
+    else:
+        raw = os.environ.get("LOOPDENS_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise SystemExit2(f"LOOPDENS_THREADS must be an integer, got {raw!r}")
+        source = "LOOPDENS_THREADS"
+    if workers < 1:
+        raise SystemExit2(f"{source} must be >= 1, got {workers}")
+    return workers
+
+
 def cmd_simulate(args, out) -> int:
+    if args.replicas < 2:
+        raise SystemExit2(f"--replicas must be >= 2 for the z-score gate, got {args.replicas}")
     try:
         cfg = MCConfig(L=args.l, H=args.height, seed=args.seed, replicas=args.replicas)
         cfg.validate()
     except ValueError as exc:
         raise SystemExit2(str(exc))
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("LOOPDENS_THREADS", "1"))
+    workers = _worker_count(args)
     stats = mc_run(cfg, workers=workers)
-    target_c = float(nu_c_exact(cfg.L // 2))
-    target_nc = float(nu_nc_exact(cfg.L // 2))
-    out.write(stats_json(stats, target_c, target_nc) + "\n")
-    z_c = abs(stats.mean_nu_c - target_c) / stats.stderr_nu_c
-    z_nc = abs(stats.mean_nu_nc - target_nc) / stats.stderr_nu_nc
-    return EXIT_OK if max(z_c, z_nc) < 4.0 else EXIT_FAIL
+    payload = stats_payload(stats, float(nu_c_exact(cfg.L // 2)), float(nu_nc_exact(cfg.L // 2)))
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    z = (payload["z_nu_c"], payload["z_nu_nc"])
+    # a zero replica stderr leaves z undefined, which fails the gate
+    if None in z:
+        return EXIT_FAIL
+    return EXIT_OK if max(abs(x) for x in z) < 4.0 else EXIT_FAIL
 
 
 def cmd_asymptote(args, out) -> int:

@@ -8,7 +8,6 @@ only in rendering helpers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 

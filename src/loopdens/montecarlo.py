@@ -234,11 +234,18 @@ def run(cfg: MCConfig, workers: int = 1) -> MCStats:
     )
 
 
-def stats_json(stats: MCStats, nu_c_target: float, nu_nc_target: float) -> str:
-    """Deterministic JSON rendering with z-scores against exact targets."""
-    z_c = (stats.mean_nu_c - nu_c_target) / stats.stderr_nu_c
-    z_nc = (stats.mean_nu_nc - nu_nc_target) / stats.stderr_nu_nc
-    payload = {
+def _z_score(mean: float, stderr: float, target: float) -> float | None:
+    """(mean - target) / stderr, or None when the replica stderr is not
+    positive (every replica agrees, or there is only one)."""
+    if not stderr > 0:
+        return None
+    return (mean - target) / stderr
+
+
+def stats_payload(stats: MCStats, nu_c_target: float, nu_nc_target: float) -> dict:
+    """JSON-ready summary with z-scores against exact targets (null when the
+    replica stderr is 0, so no z-score is defined)."""
+    return {
         "L": stats.L,
         "H": stats.H,
         "seed": stats.seed,
@@ -250,9 +257,13 @@ def stats_json(stats: MCStats, nu_c_target: float, nu_nc_target: float) -> str:
         "stderr_nu_nc": stats.stderr_nu_nc,
         "target_nu_c": nu_c_target,
         "target_nu_nc": nu_nc_target,
-        "z_nu_c": z_c,
-        "z_nu_nc": z_nc,
+        "z_nu_c": _z_score(stats.mean_nu_c, stats.stderr_nu_c, nu_c_target),
+        "z_nu_nc": _z_score(stats.mean_nu_nc, stats.stderr_nu_nc, nu_nc_target),
         "n_vertical_winding": stats.n_vertical_winding,
         "n_loops": stats.n_loops,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def stats_json(stats: MCStats, nu_c_target: float, nu_nc_target: float) -> str:
+    """Deterministic JSON rendering of stats_payload."""
+    return json.dumps(stats_payload(stats, nu_c_target, nu_nc_target), indent=2, sort_keys=True)

@@ -38,8 +38,19 @@ CONTRACTIBLE = "contractible"
 NON_CONTRACTIBLE = "non_contractible"
 
 
+# Largest circumference the exact oracle and the six-vertex check accept.
+ORACLE_MAX_L = 8
+
+
 class DegeneratePerronError(ArithmeticError):
-    """The eigenvalue 2^L did not come with one-dimensional eigenspaces."""
+    """The eigenvalue 2^L is not a simple eigenvalue with the all-ones left
+    vector and a verified right vector."""
+
+
+def check_oracle_l(L: int) -> None:
+    """Raise ValueError unless L is even with 2 <= L <= ORACLE_MAX_L."""
+    if L % 2 or not (2 <= L <= ORACLE_MAX_L):
+        raise ValueError(f"L must be even with 2 <= L <= {ORACLE_MAX_L}, got {L}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +227,7 @@ class TransferMatrix:
 @lru_cache(maxsize=None)
 def row_transfer_matrix(L: int) -> TransferMatrix:
     """Build the exact row transfer operator on the link-pattern basis."""
-    if L % 2 or not (2 <= L <= 8):
-        raise ValueError(f"L must be even with 2 <= L <= 8, got {L}")
+    check_oracle_l(L)
     states = enumerate_states(L)
     index = {s: k for k, s in enumerate(states)}
     n = len(states)
@@ -246,75 +256,106 @@ def row_transfer_matrix(L: int) -> TransferMatrix:
     )
 
 
-def _kernel(mat):
-    """Kernel basis of an exact rational square matrix (Gauss elimination)."""
+def _integer_kernel(mat) -> list[list[int]]:
+    """Integer basis of the right kernel of a square integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    every entry stays an integer minor of the input, and each division by the
+    previous pivot must be exact.  When elimination ends, every pivot row has
+    the last pivot d on its diagonal, so the free column f gives the kernel
+    vector x_f = d, x_pc = -a[row of pc][f].  Each vector is returned
+    primitive, with its first non-zero entry positive.
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    piv_cols = []
+    a = [list(row) for row in mat]
+    piv_cols, free_cols = [], []
+    prev = 1
     r = 0
     for c in range(n):
-        pr = next((rr for rr in range(r, n) if a[rr][c] != 0), None)
+        pr = next((i for i in range(r, n) if a[i][c]), None)
         if pr is None:
+            free_cols.append(c)
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for rr in range(n):
-            if rr != r and a[rr][c] != 0:
-                f = a[rr][c]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
+        pivot_row = a[r]
+        p = pivot_row[c]
+        # earlier pivot columns hold only their diagonal, which the kernel
+        # does not read, so only free columns and columns >= c are updated
+        cols = free_cols + list(range(c, n))
+        for i in range(n):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            for j in cols:
+                q, rem = divmod(p * row[j] - f * pivot_row[j], prev)
+                if rem:
+                    raise ArithmeticError(f"inexact Bareiss division at pivot column {c}")
+                row[j] = q
+        prev = p
         piv_cols.append(c)
         r += 1
-        if r == n:
-            break
-    free_cols = [c for c in range(n) if c not in piv_cols]
     vecs = []
     for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [0] * n
+        v[fc] = prev
         for i, pc in enumerate(piv_cols):
             v[pc] = -a[i][fc]
-        vecs.append(v)
+        g = math.gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        vecs.append([x // g for x in v])
     return vecs
 
 
 def perron_eigenvectors(tm: TransferMatrix):
-    """Exact left and right eigenvectors for the eigenvalue 2^L.
+    """Exact left and right integer eigenvectors for the eigenvalue 2^L.
 
-    Raises DegeneratePerronError unless both eigenspaces are one-dimensional.
+    Each of the 2^L row diagrams sends every state to exactly one state, so
+    every column of counts sums to 2^L and the left vector is all-ones; the
+    column sums are checked, not assumed.  The right vector is the kernel of
+    counts - 2^L I.  Left and right geometric multiplicities are equal
+    (rank A = rank A^T), so a one-dimensional right kernel proves both
+    eigenspaces one-dimensional.
+
+    Raises DegeneratePerronError if a column sum is off, the right kernel is
+    not one-dimensional, or counts . r != 2^L r.
     """
-    lam = Fraction(2 ** tm.L)
+    lam = 2 ** tm.L
     n = len(tm.states)
-    shifted = [[Fraction(tm.counts[i][j]) - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-    right = _kernel(shifted)
-    left = _kernel([list(row) for row in zip(*shifted)])
-    if len(right) != 1 or len(left) != 1:
-        raise DegeneratePerronError(
-            f"L={tm.L}: eigenvalue {lam} has right/left multiplicity "
-            f"{len(right)}/{len(left)}"
-        )
-    return left[0], right[0]
+    for j, col in enumerate(zip(*tm.counts)):
+        if sum(col) != lam:
+            raise DegeneratePerronError(f"L={tm.L}: column {j} of counts sums to {sum(col)}, not {lam}")
+    shifted = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(tm.counts)]
+    right = _integer_kernel(shifted)
+    if len(right) != 1:
+        raise DegeneratePerronError(f"L={tm.L}: eigenvalue {lam} has multiplicity {len(right)}")
+    r = right[0]
+    if any(sum(x * y for x, y in zip(row, r)) != lam * ri for row, ri in zip(tm.counts, r)):
+        raise DegeneratePerronError(f"L={tm.L}: kernel vector fails counts . r = {lam} r")
+    return [1] * n, r
 
 
 def oracle_densities(L: int) -> DensityRecord:
     """Exact loop densities from first-order Perron-eigenvalue perturbation.
 
     nu_c = (1/L) (l . dD/dw . r) / (Lambda l . r) at w = v = 1, and the same
-    with dD/dv for nu_nc, everything over exact rationals.
+    with dD/dv for nu_nc, everything over exact rationals.  The left vector l
+    is all-ones, so l . r = sum(r) and l . M . r = colsum(M) . r.
     """
+    check_oracle_l(L)
     tm = row_transfer_matrix(L)
-    left, right = perron_eigenvectors(tm)
-    lam = Fraction(2 ** L)
-    n = len(tm.states)
-    overlap = sum(left[i] * right[i] for i in range(n))
+    _, right = perron_eigenvectors(tm)
+    overlap = sum(right)
     if overlap == 0:
         raise DegeneratePerronError(f"L={L}: left/right eigenvector overlap vanished")
 
     def bilinear(mat):
-        return sum(left[i] * mat[i][j] * right[j] for i in range(n) for j in range(n))
+        return sum(sum(col) * x for col, x in zip(zip(*mat), right))
 
-    nu_c = bilinear(tm.d_w) / (lam * overlap * L)
-    nu_nc = bilinear(tm.d_v) / (lam * overlap * L)
+    scale = 2 ** L * overlap * L
+    nu_c = Fraction(bilinear(tm.d_w), scale)
+    nu_nc = Fraction(bilinear(tm.d_v), scale)
     return make_record(L // 2, nu_c, nu_nc, METHOD_TRANSFER_ORACLE)
 
 
@@ -393,27 +434,39 @@ def _vertex_tensor(w: SixVertexWeights) -> np.ndarray:
     return W
 
 
-def sixvertex_transfer(L: int, phi: float, z: complex = 1.0) -> np.ndarray:
-    """Dense 2^L x 2^L row transfer matrix (trace over the horizontal line)."""
+def sector_states(L: int) -> list[np.ndarray]:
+    """Row configurations (L-bit integers, up arrow = 1) grouped by the
+    number k of up arrows: entry k holds those with k set bits, ascending."""
+    configs = np.arange(2 ** L)
+    ups = ((configs[:, None] >> np.arange(L)) & 1).sum(axis=1)
+    return [configs[ups == k] for k in range(L + 1)]
+
+
+def sixvertex_transfer(L: int, phi: float, z: complex = 1.0) -> list[np.ndarray]:
+    """Row transfer matrix (trace over the horizontal line) as its L + 1
+    magnetisation-sector blocks.
+
+    Every vertex conserves arrows, so T only joins configurations with the
+    same number k of up arrows.  Block k is T on sector_states(L)[k], with
+    T[beta, alpha] the weight of the row taking alpha below to beta above.
+    """
     W = _vertex_tensor(SixVertexWeights.at(L, phi, z))
-    dim = 2 ** L
-    T = np.zeros((dim, dim), dtype=complex)
-    # per (v_in, v_out), the 2x2 horizontal transfer block
-    blocks = [[W[a, :, b, :] for b in range(2)] for a in range(2)]
-    for alpha in range(dim):
-        abits = [(alpha >> i) & 1 for i in range(L)]
-        for beta in range(dim):
-            bbits = [(beta >> i) & 1 for i in range(L)]
-            prod = np.eye(2, dtype=complex)
-            for i in range(L):
-                prod = prod @ blocks[abits[i]][bbits[i]]
-            T[beta, alpha] = prod[0, 0] + prod[1, 1]
-    return T
+    # hv[v_in, v_out] is the 2x2 horizontal transfer block of one vertex
+    hv = W.transpose(0, 2, 1, 3)
+    blocks = []
+    for states in sector_states(L):
+        bits = (states[:, None] >> np.arange(L)) & 1
+        # site i at [beta, alpha] is hv[alpha_i, beta_i]
+        prod = hv[bits[None, :, 0], bits[:, None, 0]]
+        for i in range(1, L):
+            prod = np.einsum("baij,bajk->baik", prod, hv[bits[None, :, i], bits[:, None, i]])
+        blocks.append(np.einsum("baii->ba", prod))
+    return blocks
 
 
 def _lambda_max(L: int, phi: float) -> float:
-    eig = np.linalg.eigvals(sixvertex_transfer(L, phi))
-    return float(np.max(np.abs(eig)))
+    """Largest |eigenvalue| of T: the union of the block spectra is its spectrum."""
+    return max(float(np.max(np.abs(np.linalg.eigvals(b)))) for b in sixvertex_transfer(L, phi))
 
 
 @dataclass(frozen=True)
@@ -437,8 +490,7 @@ def sixvertex_check(L: int, delta_phi: float = 1e-4) -> SixVertexReport:
     a central finite difference of ln Lambda_max in the twist angle:
     nu_nc = -(1/(2 sqrt(3) N)) d ln Lambda / d phi at phi = pi/3.
     """
-    if L % 2 or not (2 <= L <= 8):
-        raise ValueError(f"L must be even with 2 <= L <= 8, got {L}")
+    check_oracle_l(L)
     if not (1e-6 <= delta_phi <= 1e-3):
         raise ValueError(f"delta_phi must lie in [1e-6, 1e-3], got {delta_phi}")
     phi0 = math.pi / 3

@@ -3,10 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from loopdens import cli
 from loopdens.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
@@ -119,3 +126,78 @@ def test_asymptote_l2_present_and_finite():
     assert code == EXIT_OK
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 3
+
+
+def run_cli_process(argv, env=None):
+    """Run the CLI in a fresh interpreter, so an uncaught exception would
+    show as a traceback on stderr."""
+    full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join([str(SRC), full_env.get("PYTHONPATH", "")])
+    full_env.update(env or {})
+    return subprocess.run(
+        [sys.executable, "-m", "loopdens.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=full_env,
+        timeout=120,
+    )
+
+
+def _reject_constant(name):
+    raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+
+def assert_contract(proc, code):
+    """Exit code as expected, no traceback, stdout empty or strict JSON."""
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == EXIT_USAGE:
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+        return None
+    return json.loads(proc.stdout, parse_constant=_reject_constant)
+
+
+SIM_SMALL = ["simulate", "--l", "2", "--height", "20", "--seed", "4"]
+
+
+def test_simulate_one_replica_is_usage_error():
+    assert_contract(run_cli_process(SIM_SMALL + ["--replicas", "1"]), EXIT_USAGE)
+
+
+def test_simulate_zero_stderr_gives_null_z_and_fails():
+    payload = assert_contract(run_cli_process(SIM_SMALL + ["--replicas", "2"]), EXIT_FAIL)
+    assert 0.0 in (payload["stderr_nu_c"], payload["stderr_nu_nc"])
+    for kind in ("nu_c", "nu_nc"):
+        assert (payload[f"z_{kind}"] is None) == (payload[f"stderr_{kind}"] == 0.0)
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_simulate_bad_loopdens_threads_is_usage_error(threads):
+    proc = run_cli_process(SIM_SMALL + ["--replicas", "2"], env={"LOOPDENS_THREADS": threads})
+    assert_contract(proc, EXIT_USAGE)
+    assert "LOOPDENS_THREADS" in proc.stderr
+
+
+def test_oracle_unwritable_dump_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli_process(["oracle", "--l", "4", "--dump-matrix", str(target)])
+    assert_contract(proc, EXIT_USAGE)
+    assert "--dump-matrix" in proc.stderr
+
+
+def test_oracle_dump_path_checked_before_oracle_runs(tmp_path, monkeypatch):
+    def not_reached(l):
+        raise AssertionError("oracle ran before the dump path was checked")
+
+    monkeypatch.setattr(cli, "oracle_densities", not_reached)
+    code, out = run_cli(["oracle", "--l", "4", "--dump-matrix", str(tmp_path / "missing" / "x.json")])
+    assert code == EXIT_USAGE and out == ""
+
+
+def test_oracle_l_bound_message_reads_the_constant():
+    from loopdens.transfer_oracle import ORACLE_MAX_L
+
+    proc = run_cli_process(["oracle", "--l", str(ORACLE_MAX_L + 2)])
+    assert_contract(proc, EXIT_USAGE)
+    assert f"L <= {ORACLE_MAX_L}" in proc.stderr

@@ -1,23 +1,50 @@
 """Link-pattern transfer oracle and six-vertex cross-check."""
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from loopdens.closed_form import METHOD_TRANSFER_ORACLE, nu_c_exact, nu_nc_exact
 from loopdens.transfer_oracle import (
     CONTRACTIBLE,
     NON_CONTRACTIBLE,
+    ORACLE_MAX_L,
+    DegeneratePerronError,
     LinkState,
+    SixVertexWeights,
+    _vertex_tensor,
     apply_generator,
     enumerate_states,
     matrix_json,
     oracle_densities,
     perron_eigenvectors,
     row_transfer_matrix,
+    sector_states,
     sixvertex_check,
+    sixvertex_transfer,
 )
+
+
+def sixvertex_transfer_dense(L, phi, z=1.0):
+    """Reference builder: the dense 2^L x 2^L six-vertex row transfer matrix,
+    one trace of a product of 2x2 vertex blocks per (beta, alpha) entry."""
+    W = _vertex_tensor(SixVertexWeights.at(L, phi, z))
+    dim = 2**L
+    T = np.zeros((dim, dim), dtype=complex)
+    blocks = [[W[a, :, b, :] for b in range(2)] for a in range(2)]
+    for alpha in range(dim):
+        abits = [(alpha >> i) & 1 for i in range(L)]
+        for beta in range(dim):
+            bbits = [(beta >> i) & 1 for i in range(L)]
+            prod = np.eye(2, dtype=complex)
+            for i in range(L):
+                prod = prod @ blocks[abits[i]][bbits[i]]
+            T[beta, alpha] = prod[0, 0] + prod[1, 1]
+    return T
 
 
 def test_link_state_validation():
@@ -99,6 +126,37 @@ def test_perron_eigenvalue_and_vectors():
             assert sum(left[j] * Fraction(tm.counts[j][i]) for j in range(n)) == lam * left[i]
 
 
+def test_perron_left_vector_is_all_ones():
+    left, right = perron_eigenvectors(row_transfer_matrix(4))
+    assert left == [1] * 6
+    assert all(isinstance(x, int) and x > 0 for x in right)
+    assert math.gcd(*right) == 1
+
+
+def test_perron_right_vector_exact_at_l8():
+    tm = row_transfer_matrix(8)
+    _, right = perron_eigenvectors(tm)
+    assert len(right) == 70
+    for row, r_i in zip(tm.counts, right):
+        assert sum(x * y for x, y in zip(row, right)) == 2**8 * r_i
+
+
+def test_perron_rejects_column_sum_off_by_one():
+    tm = row_transfer_matrix(4)
+    counts = [list(row) for row in tm.counts]
+    counts[0][3] += 1
+    bad = dataclasses.replace(tm, counts=tuple(tuple(row) for row in counts))
+    with pytest.raises(DegeneratePerronError, match="column 3"):
+        perron_eigenvectors(bad)
+
+
+def test_perron_rejects_double_eigenvalue():
+    # columns sum to 2^2, but 4 I has a two-dimensional eigenspace
+    bad = dataclasses.replace(row_transfer_matrix(2), counts=((4, 0), (0, 4)))
+    with pytest.raises(DegeneratePerronError, match="multiplicity 2"):
+        perron_eigenvectors(bad)
+
+
 @pytest.mark.parametrize("L", [2, 4, 6, 8])
 def test_oracle_matches_closed_form_exactly(L):
     rec = oracle_densities(L)
@@ -142,8 +200,10 @@ def test_matrix_json_shape():
 
 
 def test_size_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"L <= {ORACLE_MAX_L}, got 10"):
         row_transfer_matrix(10)
+    with pytest.raises(ValueError):
+        sixvertex_check(ORACLE_MAX_L + 2)
     with pytest.raises(ValueError):
         enumerate_states(14)
     with pytest.raises(ValueError):
@@ -179,3 +239,27 @@ def test_sixvertex_weight_structure_at_stochastic_point():
     assert abs(w.c1 - w.c2) < 1e-15
     assert abs(w.c1.imag) < 1e-15
     assert w.c1.real == pytest.approx(math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+@pytest.mark.parametrize("phi, z", [(math.pi / 3, 1.0), (0.7, 1.3 + 0.2j)])
+def test_sixvertex_blocks_match_dense_reference(L, phi, z):
+    dense = sixvertex_transfer_dense(L, phi, z)
+    blocks = sixvertex_transfer(L, phi, z)
+    sectors = sector_states(L)
+    assert len(blocks) == L + 1
+    assert [len(s) for s in sectors] == [math.comb(L, k) for k in range(L + 1)]
+    for block, states in zip(blocks, sectors):
+        assert block.shape == (len(states), len(states))
+        assert np.max(np.abs(block - dense[np.ix_(states, states)])) <= 1e-12
+    # arrow conservation: the reference has no entry between sectors
+    ups = np.array([bin(x).count("1") for x in range(2**L)])
+    assert np.all(dense[ups[:, None] != ups[None, :]] == 0)
+    # the union of the block spectra is the dense spectrum
+    remaining = list(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
+    dense_eigs = np.linalg.eigvals(dense)
+    tol = 1e-9 * np.max(np.abs(dense_eigs))
+    for e in dense_eigs:
+        k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - e))
+        assert abs(remaining.pop(k) - e) <= tol
+    assert remaining == []
