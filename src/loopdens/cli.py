@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -94,30 +95,24 @@ def cmd_density(args, out) -> int:
     return EXIT_OK
 
 
+def _kummer_shift_ok(a, b, shift: int) -> bool:
+    """Exact and numeric gamma-ratio values of 2F1(a, b; 1+a-b+shift; -1)
+    against the brute-force series."""
+    series = hyp2f1_at_minus_one(a, b, 1 + a - b + shift)
+    tol = 1e-12 * max(1.0, abs(float(series)))
+    return (
+        kummer_contiguous(a, b, shift) == series
+        and abs(kummer_contiguous_numeric(a, b, shift) - float(series)) <= tol
+    )
+
+
 def _kummer_rows(n_max: int) -> list[VerifyResult]:
     rows = []
-    for n in range(1, n_max + 1):
-        pairs = [(a, b) for (nn, a, b) in kummer_parameter_sweep(n_max) if nn == n]
-        ok_plus = ok_minus = True
-        for a, b in pairs:
-            for shift in (0, 1, 2):
-                series = hyp2f1_at_minus_one(a, b, 1 + a - b + shift)
-                if kummer_contiguous(a, b, shift) != series:
-                    ok_plus = False
-                if abs(kummer_contiguous_numeric(a, b, shift) - float(series)) > 1e-12 * max(
-                    1.0, abs(float(series))
-                ):
-                    ok_plus = False
-            for shift in (0, -1, -2):
-                series = hyp2f1_at_minus_one(a, b, 1 + a - b + shift)
-                if kummer_contiguous(a, b, shift) != series:
-                    ok_minus = False
-                if abs(kummer_contiguous_numeric(a, b, shift) - float(series)) > 1e-12 * max(
-                    1.0, abs(float(series))
-                ):
-                    ok_minus = False
-        rows.append(VerifyResult("kummer_shift_plus", n, ok_plus))
-        rows.append(VerifyResult("kummer_shift_minus", n, ok_minus))
+    for n, group in itertools.groupby(kummer_parameter_sweep(n_max), key=lambda p: p[0]):
+        pairs = [(a, b) for _, a, b in group]
+        ok = {s: all(_kummer_shift_ok(a, b, s) for a, b in pairs) for s in range(-2, 3)}
+        rows.append(VerifyResult("kummer_shift_plus", n, ok[0] and ok[1] and ok[2]))
+        rows.append(VerifyResult("kummer_shift_minus", n, ok[0] and ok[-1] and ok[-2]))
     return rows
 
 

@@ -123,26 +123,33 @@ def _check_order(order: int):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
 
 
+def _series_sum(kind: str, N: int, order: int, num, s3):
+    """Large-L series of `kind` at circumference 2N, truncated after `order`
+    corrections, in the arithmetic of `num` (which converts a Fraction) with
+    `s3` = sqrt(3) in that arithmetic, so floats and mpmath share one sum."""
+    if kind == "nu_c":
+        total, coeffs, first = (3 * s3 - 5) / 2, _NU_C_COEFFS, 1
+    elif kind == "nu_nc":
+        total, coeffs, first = num(Fraction(0)), _NU_NC_COEFFS, 0
+    else:
+        raise ValueError(f"unknown density kind {kind!r}")
+    for k in range(first, order + 1):
+        total += num(coeffs[k]) / s3 * num(Fraction(2 * N)) ** (-2 * (k + 1 - first))
+    return total
+
+
 def nu_c_asymptotic(N: int, order: int) -> float:
     """Partial sum of the large-L series for nu_c, truncated after `order` corrections."""
     _check_n(N)
     _check_order(order)
-    s3 = math.sqrt(3.0)
-    total = (3.0 * s3 - 5.0) / 2.0
-    for k in range(1, order + 1):
-        total += float(_NU_C_COEFFS[k]) / s3 * (2 * N) ** (-2 * k)
-    return total
+    return _series_sum("nu_c", N, order, float, math.sqrt(3.0))
 
 
 def nu_nc_asymptotic(N: int, order: int) -> float:
     """Partial sum of the large-L series for nu_nc; order 0 is the leading term."""
     _check_n(N)
     _check_order(order)
-    s3 = math.sqrt(3.0)
-    total = 0.0
-    for k in range(order + 1):
-        total += float(_NU_NC_COEFFS[k]) / s3 * (2 * N) ** (-2 * (k + 1))
-    return total
+    return _series_sum("nu_nc", N, order, float, math.sqrt(3.0))
 
 
 def _mp_exact(value: Fraction):
@@ -158,19 +165,13 @@ def asymptotic_residual(kind: str, N: int, order: int, dps: int = 60):
     """
     _check_order(order)
     with mp.workdps(dps):
-        s3 = mp.sqrt(3)
         if kind == "nu_c":
             exact = _mp_exact(nu_c_exact(N))
-            series = (3 * s3 - 5) / 2
-            for k in range(1, order + 1):
-                series += _mp_exact(_NU_C_COEFFS[k]) / s3 * mp.mpf(2 * N) ** (-2 * k)
         elif kind == "nu_nc":
             exact = _mp_exact(nu_nc_exact(N))
-            series = mp.mpf(0)
-            for k in range(order + 1):
-                series += _mp_exact(_NU_NC_COEFFS[k]) / s3 * mp.mpf(2 * N) ** (-2 * (k + 1))
         else:
             raise ValueError(f"unknown density kind {kind!r}")
+        series = _series_sum(kind, N, order, _mp_exact, mp.sqrt(3))
         residual = exact - series
         return float(exact), float(series), float(residual)
 

@@ -161,10 +161,6 @@ class Cyclotomic:
         """Exact real part a + b/2 (Re w = 1/2)."""
         return self.a + self.b / 2
 
-    def imag_over_sqrt3(self) -> Fraction:
-        """Exact imaginary part divided by sqrt(3) (Im w = sqrt(3)/2)."""
-        return self.b / 2
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

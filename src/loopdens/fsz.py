@@ -257,7 +257,7 @@ def _a_from_f(sol: FszSolution) -> Cyclotomic:
     return line1 - line2
 
 
-def quantity_a(sol: FszSolution, check_routes: bool = True) -> Cyclotomic:
+def quantity_a(sol: FszSolution) -> Cyclotomic:
     """The explicit part of d ln T(1)/dq, up to the factor 3 * 2^(-2N).
 
     Evaluated through two independently coded routes (direct Q,P-derivative
@@ -265,12 +265,11 @@ def quantity_a(sol: FszSolution, check_routes: bool = True) -> Cyclotomic:
     agree exactly; a third f_Q/f_P route is available via a_f_form_matches.
     """
     a_qp = _a_from_qp(sol)
-    if check_routes:
-        a_dual = _a_from_dual(sol)
-        if a_qp != a_dual:
-            raise RouteMismatchError(
-                f"N={sol.N}: Q,P-route {a_qp!r} != dual-number route {a_dual!r}"
-            )
+    a_dual = _a_from_dual(sol)
+    if a_qp != a_dual:
+        raise RouteMismatchError(
+            f"N={sol.N}: Q,P-route {a_qp!r} != dual-number route {a_dual!r}"
+        )
     return a_qp
 
 
@@ -295,7 +294,12 @@ def quantity_c(sol: FszSolution) -> Cyclotomic:
     return c_qp
 
 
-def densities_via_tq(N: int, check_closed_form: bool = True) -> DerivativeBundle:
+def densities_via_tq(N: int) -> DerivativeBundle:
+    """Re-derive (nu_c, nu_nc) from the T-Q solution at circumference 2N."""
+    return densities_from_solution(build_fsz(N))
+
+
+def densities_from_solution(sol: FszSolution) -> DerivativeBundle:
     """Re-derive (nu_c, nu_nc) from the T-Q solution's derivatives.
 
     nu_c = 1/2 + (1 - q^-2)^(-1) / (2N) * d ln T(1)/dq  with
@@ -303,7 +307,7 @@ def densities_via_tq(N: int, check_closed_form: bool = True) -> DerivativeBundle
     reduce to exact rationals equal to the closed forms; any residual
     w-component or mismatch is a hard failure of the derivation chain.
     """
-    sol = build_fsz(N)
+    N = sol.N
     a_val = quantity_a(sol)
     c_val = quantity_c(sol)
     if not c_val.is_rational():
@@ -321,12 +325,11 @@ def densities_via_tq(N: int, check_closed_form: bool = True) -> DerivativeBundle
     if c_val.as_rational() >= 0:
         raise RouteMismatchError(f"N={N}: C = {c_val.as_rational()} is not negative")
 
-    if check_closed_form:
-        if nu_c != nu_c_exact(N) or nu_nc != nu_nc_exact(N):
-            raise RouteMismatchError(
-                f"N={N}: T-Q densities ({nu_c}, {nu_nc}) differ from closed forms "
-                f"({nu_c_exact(N)}, {nu_nc_exact(N)})"
-            )
+    if nu_c != nu_c_exact(N) or nu_nc != nu_nc_exact(N):
+        raise RouteMismatchError(
+            f"N={N}: T-Q densities ({nu_c}, {nu_nc}) differ from closed forms "
+            f"({nu_c_exact(N)}, {nu_nc_exact(N)})"
+        )
     return DerivativeBundle(
         N=N,
         a_value=a_val,

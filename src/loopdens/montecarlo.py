@@ -45,7 +45,6 @@ class MCConfig:
     H: int
     seed: int
     replicas: int = 16
-    rng_kind: str = "philox"
 
     def validate(self):
         if self.L % 2 or self.L < 2:
@@ -54,8 +53,6 @@ class MCConfig:
             raise ValueError(f"H must be >= 10*L = {10 * self.L}, got {self.H}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if self.rng_kind != "philox":
-            raise ValueError(f"unknown rng_kind {self.rng_kind!r}")
         if 2 * self.L * self.H >= 1 << (_WSHIFT - 1):
             raise ValueError("lattice too large for packed winding accumulators")
 
@@ -199,8 +196,6 @@ def sample_lattice(cfg: MCConfig, replica_index: int) -> LoopCensus:
 def _pooled(values: list[float]):
     n = len(values)
     mean = sum(values) / n
-    if n == 1:
-        return mean, float("nan")
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, (var / n) ** 0.5
 
@@ -209,9 +204,11 @@ def run(cfg: MCConfig, workers: int = 1) -> MCStats:
     """Run all replicas (optionally in parallel processes) and pool statistics.
 
     The merge is replica-ordered, so the result is bit-identical for any
-    worker count.
+    worker count.  Needs at least two replicas: the stderr is pooled over them.
     """
     cfg.validate()
+    if cfg.replicas < 2:
+        raise ValueError(f"run needs >= 2 replicas for a stderr, got {cfg.replicas}")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             censuses = list(pool.map(sample_lattice, [cfg] * cfg.replicas, range(cfg.replicas)))

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopdens import cli
 from loopdens.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
@@ -71,6 +73,17 @@ def test_verify_report_shape():
 def test_verify_kummer():
     code, out = run_cli(["verify", "kummer", "--n-max", "4"])
     assert code == EXIT_OK
+
+
+def test_verify_all_is_tq_then_fsz_then_kummer():
+    expected = []
+    for suite in ("tq", "fsz", "kummer"):
+        code, out = run_cli(["verify", suite, "--n-max", "3", "--format", "json"])
+        assert code == EXIT_OK
+        expected += json.loads(out)
+    code, out = run_cli(["verify", "all", "--n-max", "3", "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out) == expected
 
 
 def test_oracle_match_and_guard(tmp_path):
@@ -201,3 +214,18 @@ def test_oracle_l_bound_message_reads_the_constant():
     proc = run_cli_process(["oracle", "--l", str(ORACLE_MAX_L + 2)])
     assert_contract(proc, EXIT_USAGE)
     assert f"L <= {ORACLE_MAX_L}" in proc.stderr
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    suite=st.sampled_from(["tq", "fsz", "kummer", "all"]),
+    fmt=st.sampled_from(["text", "json"]),
+    n_max=st.integers(min_value=-2, max_value=3),
+)
+def test_verify_contract_holds_for_every_argument(suite, fmt, n_max):
+    code, out = run_cli(["verify", suite, "--n-max", str(n_max), "--format", fmt])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out == ""
+    elif fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)

@@ -1,5 +1,6 @@
 """The hypergeometric Q/P construction and its derivative machinery."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from loopdens.closed_form import nu_c_exact, nu_nc_exact
 from loopdens.cyclotomic import Cyclotomic, CycPoly, ONE, q_power
 from loopdens.fsz import (
+    RouteMismatchError,
     a_f_form_matches,
     bethe_residual,
     build_fsz,
+    densities_from_solution,
     densities_via_tq,
     fq_fp_closed_eval,
     hyp2f1_at_minus_one,
@@ -100,6 +103,20 @@ def test_quantity_c_values():
 def test_densities_via_tq(n, expected):
     bundle = densities_via_tq(n)
     assert (bundle.nu_c, bundle.nu_nc) == expected
+
+
+def test_densities_from_solution_is_densities_via_tq():
+    for n in (1, 4):
+        assert densities_from_solution(build_fsz(n)) == densities_via_tq(n)
+
+
+def test_densities_from_solution_checks_closed_form():
+    # doubling Q and f_Q together keeps every pair of routes in agreement,
+    # so only the comparison with the closed forms can catch it
+    sol = build_fsz(3)
+    tampered = dataclasses.replace(sol, q_poly=2 * sol.q_poly, f_q=2 * sol.f_q)
+    with pytest.raises(RouteMismatchError, match="closed forms"):
+        densities_from_solution(tampered)
 
 
 def test_tq_density_record():

@@ -126,6 +126,12 @@ def test_config_validation():
         MCConfig(L=4, H=100, seed=0, replicas=0).validate()
 
 
+def test_run_needs_two_replicas():
+    # one replica has no pooled stderr; sample_lattice still takes such configs
+    with pytest.raises(ValueError, match="replicas"):
+        run(MCConfig(L=2, H=20, seed=1, replicas=1))
+
+
 def test_walk_table_is_permutation():
     cfg = MCConfig(L=4, H=60, seed=2, replicas=1)
     nxt, ww, mirror = walk_tables(cfg, _sample_tiles(cfg, 0))
