@@ -94,16 +94,15 @@ def hyp2f1_terminating(a, b, c, t) -> Cyclotomic:
     if not is_nonpositive_integer(b):
         raise ValueError(f"series does not terminate: b = {b}")
     if not isinstance(t, Cyclotomic):
-        t = Cyclotomic(Fraction(t))
+        t = Fraction(t)  # a rational series stays in Q until the end
     kmax = int(-b)
-    total = ONE
-    term = ONE
+    total = term = Fraction(1)
     for k in range(kmax):
         if c + k == 0:
             raise GammaPoleError(f"(c)_k vanished at c = {c}, k = {k + 1}")
-        term = term * t * Fraction((a + k) * (b + k), 1) / Fraction((c + k) * (k + 1), 1)
+        term = term * (t * ((a + k) * (b + k) / ((c + k) * (k + 1))))
         total = total + term
-    return total
+    return total if isinstance(total, Cyclotomic) else Cyclotomic(total)
 
 
 def _series_poly_in_x(a: Fraction, b: Fraction, c: Fraction) -> CycPoly:

@@ -33,6 +33,8 @@ class VerifyResult:
 
 
 def _first_mismatch(p: CycPoly, q: CycPoly):
+    if p == q:
+        return None
     for k in range(max(p.degree, q.degree) + 1):
         if p.coeff(k) != q.coeff(k):
             return k

@@ -2,8 +2,9 @@
 
 import pytest
 
+from loopdens.closed_form import nu_c_exact, nu_nc_exact
 from loopdens.cyclotomic import CycPoly, ONE, q_power
-from loopdens.fsz import build_fsz
+from loopdens.fsz import build_fsz, densities_from_solution
 from loopdens.tq_identities import (
     reconstruct_t,
     verify_suite,
@@ -90,3 +91,13 @@ def test_wronskian_rhs_alternating_signs():
         rhs = CycPoly.binomial_power(1, -1, 2 * n)
         for k, c in enumerate(rhs.coeffs):
             assert c.as_rational() == (-1) ** k * abs(c.as_rational())
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_exact_chain_at_l_100_and_200(n):
+    sol = build_fsz(n)
+    assert verify_t_form(sol)
+    assert verify_wronskian(sol)
+    assert verify_tq_tp(sol)
+    bundle = densities_from_solution(sol)
+    assert (bundle.nu_c, bundle.nu_nc) == (nu_c_exact(n), nu_nc_exact(n))
