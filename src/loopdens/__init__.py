@@ -33,7 +33,6 @@ from .montecarlo import LoopCensus, MCConfig, MCStats, run, sample_lattice
 from .tq_identities import verify_suite, verify_t_form, verify_tq_tp, verify_wronskian
 from .transfer_oracle import (
     LinkState,
-    apply_generator,
     enumerate_states,
     oracle_densities,
     row_transfer_matrix,
@@ -53,7 +52,6 @@ __all__ = [
     "MCConfig",
     "MCStats",
     "Rational",
-    "apply_generator",
     "bethe_residual",
     "build_fsz",
     "densities_via_tq",

@@ -343,9 +343,9 @@ class CycPoly:
 
     @classmethod
     def binomial_power(cls, const, lin, n: int) -> "CycPoly":
-        """(const + lin*x)^n expanded exactly."""
+        """(const + lin*x)^n expanded exactly, for n >= 0."""
         if n < 0:
-            return cls()
+            raise ValueError(f"binomial_power needs n >= 0, got {n}")
         ca, cb, cd = _ints(const)
         la, lb, ld = _ints(lin)
         # (U + V*x)^n / (cd*ld)^n with integer U = const*cd*ld, V = lin*cd*ld

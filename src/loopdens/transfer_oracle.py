@@ -15,6 +15,11 @@ Summing the 2^L tile strings with loop fugacities w (contractible) and v
 (non-contractible) gives the row transfer operator; its Perron eigenvalue at
 w = v = 1 is 2^L and the densities are first-order eigenvalue perturbations,
 evaluated in exact rational arithmetic.
+
+The basis is the closure of the nested pattern under the row operator.  The
+right Perron vector is a float64 solve rounded to integers and certified
+exactly: integer eigenvector equation, column sums 2^L and a strongly
+connected state graph, so Perron-Frobenius makes it the unique Perron vector.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ NON_CONTRACTIBLE = "non_contractible"
 
 
 # Largest circumference the exact oracle and the six-vertex check accept.
-ORACLE_MAX_L = 8
+ORACLE_MAX_L = 10
 
 
 class DegeneratePerronError(ArithmeticError):
@@ -81,14 +86,6 @@ class LinkState:
         """Fully nested pattern: i paired with L-1-i, no seam crossings."""
         return cls(tuple(L - 1 - i for i in range(L)), (0,) * L)
 
-    def total_parity(self) -> int:
-        """XOR of chord parities (each chord counted once)."""
-        t = 0
-        for i, j in enumerate(self.match):
-            if i < j:
-                t ^= self.parity[i]
-        return t
-
 
 def _close_or_rewire(match, par, i, j, cap_parity):
     """Join points i, j of the current (bottom) boundary by a cap.
@@ -106,45 +103,6 @@ def _close_or_rewire(match, par, i, j, cap_parity):
     par[a] = par[b] = new_par
     match[i] = match[j] = -1
     return None
-
-
-def apply_generator(state: LinkState, i: int):
-    """Temperley-Lieb generator at position i (joins i and (i+1) mod L).
-
-    The wrap generator (i = L-1) straddles the seam, so both the cap it closes
-    with and the fresh cup it emits cross the seam once.  Returns
-    (new state, closed-loop kind or None).
-    """
-    L = state.size
-    if not (0 <= i < L):
-        raise ValueError(f"generator index {i} out of range for L = {L}")
-    j = (i + 1) % L
-    wrap = 1 if i == L - 1 else 0
-    match = list(state.match)
-    par = list(state.parity)
-    closed = _close_or_rewire(match, par, i, j, wrap)
-    match[i], match[j] = j, i
-    par[i] = par[j] = wrap
-    return LinkState(tuple(match), tuple(par)), closed
-
-
-def enumerate_states(L: int) -> list[LinkState]:
-    """Reachability closure of the nested pattern under all generators."""
-    if L % 2 or not (2 <= L <= 12):
-        raise ValueError(f"L must be even with 2 <= L <= 12, got {L}")
-    start = LinkState.nested(L)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for i in range(L):
-                t, _ = apply_generator(s, i)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return sorted(seen, key=lambda s: (s.match, s.parity))
 
 
 def _row_diagrams(L: int):
@@ -207,6 +165,11 @@ def _apply_diagram(state: LinkState, caps, shifts, cups):
     return LinkState(tuple(out_match), tuple(out_par)), n_c, n_nc
 
 
+def enumerate_states(L: int) -> tuple:
+    """Link states reachable from the nested pattern under the row operator."""
+    return row_transfer_matrix(L).states
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Row transfer operator with loop-closure bookkeeping.
@@ -226,86 +189,62 @@ class TransferMatrix:
 
 @lru_cache(maxsize=None)
 def row_transfer_matrix(L: int) -> TransferMatrix:
-    """Build the exact row transfer operator on the link-pattern basis."""
+    """Build the exact row transfer operator on the link-pattern basis.
+
+    One breadth-first closure from the nested pattern under the 2^L row
+    diagrams finds the states and fills one sparse cell per reached
+    (out, in) pair; the states are then sorted by (match, parity).
+    """
     check_oracle_l(L)
-    states = enumerate_states(L)
+    diagrams = _row_diagrams(L)
+    found = {LinkState.nested(L): 0}
+    order = list(found)
+    cells = {}
+    for col, s in enumerate(order):  # order grows while it is walked
+        for caps, shifts, cups in diagrams:
+            out, n_c, n_nc = _apply_diagram(s, caps, shifts, cups)
+            row = found.setdefault(out, len(order))
+            if row == len(order):
+                order.append(out)
+            cell = cells.setdefault((row, col), {})
+            cell[n_c, n_nc] = cell.get((n_c, n_nc), 0) + 1
+    states = tuple(sorted(order, key=lambda s: (s.match, s.parity)))
     index = {s: k for k, s in enumerate(states)}
+    pos = [index[s] for s in order]
     n = len(states)
     fug = [[{} for _ in range(n)] for _ in range(n)]
     m0 = [[0] * n for _ in range(n)]
     mw = [[0] * n for _ in range(n)]
     mv = [[0] * n for _ in range(n)]
-    diagrams = _row_diagrams(L)
-    for col, s in enumerate(states):
-        for caps, shifts, cups in diagrams:
-            out, n_c, n_nc = _apply_diagram(s, caps, shifts, cups)
-            row = index[out]
-            key = (n_c, n_nc)
-            fug[row][col][key] = fug[row][col].get(key, 0) + 1
-            m0[row][col] += 1
-            mw[row][col] += n_c
-            mv[row][col] += n_nc
+    for (row, col), cell in cells.items():
+        i, j = pos[row], pos[col]
+        fug[i][j] = cell
+        m0[i][j] = sum(cell.values())
+        mw[i][j] = sum(k[0] * c for k, c in cell.items())
+        mv[i][j] = sum(k[1] * c for k, c in cell.items())
     freeze = lambda mat: tuple(tuple(r) for r in mat)
     return TransferMatrix(
         L=L,
-        states=tuple(states),
-        fugacity=tuple(tuple(dict(c) for c in r) for r in fug),
+        states=states,
+        fugacity=freeze(fug),
         counts=freeze(m0),
         d_w=freeze(mw),
         d_v=freeze(mv),
     )
 
 
-def _integer_kernel(mat) -> list[list[int]]:
-    """Integer basis of the right kernel of a square integer matrix.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
-    every entry stays an integer minor of the input, and each division by the
-    previous pivot must be exact.  When elimination ends, every pivot row has
-    the last pivot d on its diagonal, so the free column f gives the kernel
-    vector x_f = d, x_pc = -a[row of pc][f].  Each vector is returned
-    primitive, with its first non-zero entry positive.
-    """
-    n = len(mat)
-    a = [list(row) for row in mat]
-    piv_cols, free_cols = [], []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if a[i][c]), None)
-        if pr is None:
-            free_cols.append(c)
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pivot_row = a[r]
-        p = pivot_row[c]
-        # earlier pivot columns hold only their diagonal, which the kernel
-        # does not read, so only free columns and columns >= c are updated
-        cols = free_cols + list(range(c, n))
-        for i in range(n):
-            if i == r:
-                continue
-            row = a[i]
-            f = row[c]
-            for j in cols:
-                q, rem = divmod(p * row[j] - f * pivot_row[j], prev)
-                if rem:
-                    raise ArithmeticError(f"inexact Bareiss division at pivot column {c}")
-                row[j] = q
-        prev = p
-        piv_cols.append(c)
-        r += 1
-    vecs = []
-    for fc in free_cols:
-        v = [0] * n
-        v[fc] = prev
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -a[i][fc]
-        g = math.gcd(*v)
-        if next(x for x in v if x) < 0:
-            g = -g
-        vecs.append([x // g for x in v])
-    return vecs
+def _reaches_all(adj) -> bool:
+    """True when every index is reachable from 0 along the edges i -> j with
+    adj[i][j] != 0."""
+    succ = [[j for j, x in enumerate(row) if x] for row in adj]
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in succ[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(succ)
 
 
 def perron_eigenvectors(tm: TransferMatrix):
@@ -313,26 +252,35 @@ def perron_eigenvectors(tm: TransferMatrix):
 
     Each of the 2^L row diagrams sends every state to exactly one state, so
     every column of counts sums to 2^L and the left vector is all-ones; the
-    column sums are checked, not assumed.  The right vector is the kernel of
-    counts - 2^L I.  Left and right geometric multiplicities are equal
-    (rank A = rank A^T), so a one-dimensional right kernel proves both
-    eigenspaces one-dimensional.
+    column sums are checked, not assumed.  A breadth-first search over the
+    non-zero entries, forwards and backwards, checks that the state graph is
+    strongly connected.  Perron-Frobenius then makes 2^L, the spectral radius
+    of the non-negative irreducible counts, a simple eigenvalue, and any
+    positive eigenvector a multiple of its right Perron vector.  That vector
+    is guessed in float64, scaled to smallest entry 1, rounded and accepted
+    only when counts . r == 2^L r holds in integers; its smallest entry is 1,
+    so r is exact, positive and primitive.
 
-    Raises DegeneratePerronError if a column sum is off, the right kernel is
-    not one-dimensional, or counts . r != 2^L r.
+    Raises DegeneratePerronError if a column sum is off, an entry is negative,
+    the state graph is reducible, or the rounded guess fails the exact check.
     """
     lam = 2 ** tm.L
     n = len(tm.states)
     for j, col in enumerate(zip(*tm.counts)):
         if sum(col) != lam:
             raise DegeneratePerronError(f"L={tm.L}: column {j} of counts sums to {sum(col)}, not {lam}")
-    shifted = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(tm.counts)]
-    right = _integer_kernel(shifted)
-    if len(right) != 1:
-        raise DegeneratePerronError(f"L={tm.L}: eigenvalue {lam} has multiplicity {len(right)}")
-    r = right[0]
+        if min(col) < 0:
+            raise DegeneratePerronError(f"L={tm.L}: column {j} of counts has a negative entry")
+    if not (_reaches_all(tm.counts) and _reaches_all(list(zip(*tm.counts)))):
+        raise DegeneratePerronError(f"L={tm.L}: counts is reducible, so {lam} need not be simple")
+    shifted = np.array(tm.counts, dtype=float) - lam * np.eye(n)
+    shifted[0] = 1.0  # row 0 is implied by the others; fix the scale instead
+    guess = np.linalg.solve(shifted, np.eye(n)[0])
+    if not guess.min() > 0:
+        raise DegeneratePerronError(f"L={tm.L}: float Perron guess is not positive")
+    r = [round(x) for x in guess / guess.min()]
     if any(sum(x * y for x, y in zip(row, r)) != lam * ri for row, ri in zip(tm.counts, r)):
-        raise DegeneratePerronError(f"L={tm.L}: kernel vector fails counts . r = {lam} r")
+        raise DegeneratePerronError(f"L={tm.L}: rounded float guess fails counts . r = {lam} r")
     return [1] * n, r
 
 
@@ -347,8 +295,6 @@ def oracle_densities(L: int) -> DensityRecord:
     tm = row_transfer_matrix(L)
     _, right = perron_eigenvectors(tm)
     overlap = sum(right)
-    if overlap == 0:
-        raise DegeneratePerronError(f"L={L}: left/right eigenvector overlap vanished")
 
     def bilinear(mat):
         return sum(sum(col) * x for col, x in zip(zip(*mat), right))

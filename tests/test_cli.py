@@ -89,7 +89,9 @@ def test_verify_all_is_tq_then_fsz_then_kummer():
 def test_oracle_match_and_guard(tmp_path):
     code, out = run_cli(["oracle", "--l", "2"])
     assert code == EXIT_OK and "EXACT-MATCH" in out and "1/8" in out
-    code, _ = run_cli(["oracle", "--l", "10"])
+    from loopdens.transfer_oracle import ORACLE_MAX_L
+
+    code, _ = run_cli(["oracle", "--l", str(ORACLE_MAX_L + 2)])
     assert code == EXIT_USAGE
     dump = tmp_path / "tm.json"
     code, out = run_cli(["oracle", "--l", "4", "--dump-matrix", str(dump)])
@@ -229,3 +231,12 @@ def test_verify_contract_holds_for_every_argument(suite, fmt, n_max):
         assert out == ""
     elif fmt == "json":
         json.loads(out, parse_constant=_reject_constant)
+
+
+@settings(max_examples=30, deadline=None)
+@given(l=st.integers(min_value=-2, max_value=14))
+def test_oracle_contract_holds_for_every_argument(l):
+    code, out = run_cli(["oracle", "--l", str(l)])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out == ""

@@ -230,6 +230,8 @@ def test_binomial_power():
     assert CycPoly.binomial_power(1, 1, 2) == CycPoly([1, 2, 1])
     assert CycPoly.binomial_power(1, -1, 2) == CycPoly([1, -2, 1])
     assert CycPoly.binomial_power(1, 1, 0) == CycPoly([1])
+    with pytest.raises(ValueError, match="n >= 0"):
+        CycPoly.binomial_power(1, 1, -1)
 
 
 def test_rational_elements_hash_like_their_fractions():

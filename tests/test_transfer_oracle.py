@@ -10,14 +10,13 @@ import pytest
 
 from loopdens.closed_form import METHOD_TRANSFER_ORACLE, nu_c_exact, nu_nc_exact
 from loopdens.transfer_oracle import (
-    CONTRACTIBLE,
-    NON_CONTRACTIBLE,
     ORACLE_MAX_L,
     DegeneratePerronError,
     LinkState,
     SixVertexWeights,
+    _apply_diagram,
+    _row_diagrams,
     _vertex_tensor,
-    apply_generator,
     enumerate_states,
     matrix_json,
     oracle_densities,
@@ -62,38 +61,32 @@ def test_enumerate_states_counts():
     # regression values from the reachability closure
     assert len(enumerate_states(6)) == 20
     assert len(enumerate_states(8)) == 70
+    assert len(enumerate_states(10)) == 252
 
 
 def test_enumeration_is_closed():
     states = enumerate_states(4)
     pool = set(states)
     for s in states:
-        for i in range(4):
-            t, _ = apply_generator(s, i)
+        for diagram in _row_diagrams(4):
+            t, _, _ = _apply_diagram(s, *diagram)
             assert t in pool
 
 
-def test_generator_close_examples():
+def test_row_diagram_close_examples():
+    # L = 2; diagram k has tile (k >> i) & 1 at site i, and bond 1 is the wrap bond
     s0 = LinkState((1, 0), (0, 0))
     s1 = LinkState((1, 0), (1, 1))
-    out, closed = apply_generator(s0, 0)
-    assert out == s0 and closed == CONTRACTIBLE
-    out, closed = apply_generator(s1, 0)
-    assert out == s0 and closed == NON_CONTRACTIBLE
-    # the wrap generator's cap adds one seam crossing to the closed loop
-    out, closed = apply_generator(s0, 1)
-    assert out == s1 and closed == NON_CONTRACTIBLE
-    out, closed = apply_generator(s1, 1)
-    assert out == s1 and closed == CONTRACTIBLE
-
-
-def test_total_parity_flips_iff_noncontractible_closure():
-    # exhaustive at L = 4 over all states and generators
-    for s in enumerate_states(4):
-        for i in range(4):
-            t, closed = apply_generator(s, i)
-            flipped = s.total_parity() ^ t.total_parity()
-            assert flipped == (1 if closed == NON_CONTRACTIBLE else 0)
+    diagrams = _row_diagrams(2)
+    # with no cap the chord shifts once through the seam
+    assert _apply_diagram(s0, *diagrams[0b00]) == (s1, 0, 0)
+    assert _apply_diagram(s1, *diagrams[0b11]) == (s0, 0, 0)
+    # a cap on bond 0 closes the chord with its own parity; the wrap cup crosses the seam
+    assert _apply_diagram(s0, *diagrams[0b10]) == (s1, 1, 0)
+    assert _apply_diagram(s1, *diagrams[0b10]) == (s1, 0, 1)
+    # the wrap cap adds one seam crossing to the loop it closes
+    assert _apply_diagram(s0, *diagrams[0b01]) == (s0, 0, 1)
+    assert _apply_diagram(s1, *diagrams[0b01]) == (s0, 1, 0)
 
 
 def test_transfer_matrix_structure():
@@ -153,11 +146,39 @@ def test_perron_rejects_column_sum_off_by_one():
 def test_perron_rejects_double_eigenvalue():
     # columns sum to 2^2, but 4 I has a two-dimensional eigenspace
     bad = dataclasses.replace(row_transfer_matrix(2), counts=((4, 0), (0, 4)))
-    with pytest.raises(DegeneratePerronError, match="multiplicity 2"):
+    with pytest.raises(DegeneratePerronError, match="reducible"):
         perron_eigenvectors(bad)
 
 
-@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_perron_rejects_negative_entry():
+    # columns sum to 4 and (1, 1) is an exact eigenvector for 4, but the
+    # spectral radius is 6, so Perron-Frobenius cannot certify 4
+    bad = dataclasses.replace(row_transfer_matrix(2), counts=((5, -1), (-1, 5)))
+    with pytest.raises(DegeneratePerronError, match="negative entry"):
+        perron_eigenvectors(bad)
+
+
+def test_perron_rejects_guess_that_does_not_round_exactly():
+    # columns sum to 4 and the matrix is irreducible, but its Perron vector
+    # (2, 3) scaled to smallest entry 1 is (1, 3/2), which no rounding makes exact
+    bad = dataclasses.replace(row_transfer_matrix(2), counts=((1, 2), (3, 2)))
+    with pytest.raises(DegeneratePerronError, match="rounded float guess"):
+        perron_eigenvectors(bad)
+
+
+@pytest.mark.parametrize(
+    "L, total", [(2, 2), (4, 10), (6, 140), (8, 5544), (10, 622908)]
+)
+def test_perron_vector_sums_to_half_turn_symmetric_asm_count(L, total):
+    # Razumov-Stroganov sum rule for the periodic chain: with smallest entry 1
+    # the ground state sums to A_HT(L) (Batchelor, de Gier and Nienhuis,
+    # J. Phys. A 34, 2001; proved by Di Francesco and Zinn-Justin, 2005)
+    _, right = perron_eigenvectors(row_transfer_matrix(L))
+    assert min(right) == 1
+    assert sum(right) == total
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
 def test_oracle_matches_closed_form_exactly(L):
     rec = oracle_densities(L)
     assert rec.nu_c == nu_c_exact(L // 2)
@@ -200,8 +221,8 @@ def test_matrix_json_shape():
 
 
 def test_size_guards():
-    with pytest.raises(ValueError, match=f"L <= {ORACLE_MAX_L}, got 10"):
-        row_transfer_matrix(10)
+    with pytest.raises(ValueError, match=f"L <= {ORACLE_MAX_L}, got {ORACLE_MAX_L + 2}"):
+        row_transfer_matrix(ORACLE_MAX_L + 2)
     with pytest.raises(ValueError):
         sixvertex_check(ORACLE_MAX_L + 2)
     with pytest.raises(ValueError):
@@ -215,6 +236,13 @@ def test_sixvertex_stochastic_point(L):
     rep = sixvertex_check(L, 1e-4)
     assert rep.lambda_rel_error < 1e-9
     assert rep.phi_symmetry_error < 1e-9
+
+
+def test_sixvertex_check_l10():
+    rep = sixvertex_check(10, 1e-4)
+    assert rep.lambda_rel_error < 1e-9
+    assert rep.phi_symmetry_error < 1e-9
+    assert rep.nu_nc_error < 1e-6
 
 
 def test_sixvertex_fd_derivative_l4():
