@@ -35,16 +35,22 @@ EXIT_USAGE = 2
 
 
 def _parse_l_values(args) -> list[int]:
+    """The even circumferences L >= 2 named by --l or --l-range."""
     if args.l is not None:
-        return [args.l]
-    lo, _, hi = args.l_range.partition(":")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise SystemExit2(f"bad --l-range {args.l_range!r}, expected LO:HI")
-    if lo > hi:
-        raise SystemExit2(f"empty --l-range {args.l_range!r}")
-    return [l for l in range(lo, hi + 1) if l % 2 == 0]
+        ls = [args.l]
+    else:
+        lo, _, hi = args.l_range.partition(":")
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise SystemExit2(f"bad --l-range {args.l_range!r}, expected LO:HI")
+        ls = [l for l in range(lo, hi + 1) if l % 2 == 0]
+        if not ls:
+            raise SystemExit2(f"empty --l-range {args.l_range!r}, no even L in it")
+    for l in ls:
+        if l % 2 or l < 2:
+            raise SystemExit2(f"circumference must be even and >= 2, got {l}")
+    return ls
 
 
 class SystemExit2(Exception):
@@ -53,9 +59,6 @@ class SystemExit2(Exception):
 
 def cmd_density(args, out) -> int:
     ls = _parse_l_values(args)
-    for l in ls:
-        if l % 2 or l < 2:
-            raise SystemExit2(f"circumference must be even and >= 2, got {l}")
     records = [density_record(l // 2) for l in ls]
     if args.format == "text":
         for r in records:
@@ -212,9 +215,6 @@ def cmd_simulate(args, out) -> int:
 
 def cmd_asymptote(args, out) -> int:
     ls = _parse_l_values(args)
-    for l in ls:
-        if l % 2 or l < 2:
-            raise SystemExit2(f"circumference must be even and >= 2, got {l}")
     w = csv.writer(out)
     w.writerow(["L", "quantity", "exact", "series", "residual", "residual_scaled"])
     for l in ls:
@@ -224,6 +224,25 @@ def cmd_asymptote(args, out) -> int:
             scaled = abs(residual) * (2 * n) ** residual_scale_power(kind, args.order)
             w.writerow([l, kind, repr(exact), repr(series), repr(residual), repr(scaled)])
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit (3.11+) while a command writes.
+
+    The exact densities pass the default 4300 digits near L = 6200, and
+    str() of such an int raises ValueError under the limit.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(previous)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +297,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args, sys.stdout)
+        with _unlimited_int_digits():
+            return args.func(args, sys.stdout)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,18 @@
 """Exact loop densities on the even-circumference cylinder and their asymptotics.
 
-``nu_c_exact`` / ``nu_nc_exact`` evaluate the explicitly rational closed forms
-(products of factorials and Pochhammer symbols) for the per-site densities of
-contractible and non-contractible loops at circumference L = 2N.  The
+Both densities at circumference L = 2N are rational functions of one number,
+
+    R(N) = Gamma(N/2) Gamma(3N/2 + 1/2) / (Gamma(N/2 + 1/2) Gamma(3N/2)),
+
+which the duplication formula turns into a ratio of two central binomials:
+
+    N even:  R = 3 C(3N, 3N/2) / (4^N C(N, N/2))
+    N odd:   R = 4^N C(N-1, (N-1)/2) / C(3N-1, (3N-1)/2)
+
+With R = p/q, ``nu_c_exact`` returns 3R/4 + 9/(4R) - 5/2 and ``nu_nc_exact``
+returns (R - 3/R)/(4N), each as one Fraction built from a fixed number of
+big-integer operations.  The paper's forms in factorials and Pochhammer
+symbols are the test reference (``tests/test_closed_form.py``); the
 equivalent gamma-function forms are kept as a floating-point cross-check, and
 the large-L asymptotic series are provided together with high-precision
 residual helpers used by the verification suite.
@@ -15,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-
-from .cyclotomic import Rational, pochhammer
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_FSZ_DERIVATIVE = "fsz_derivative"
@@ -34,8 +42,8 @@ class DensityRecord:
 
     L: int
     N: int
-    nu_c: Rational
-    nu_nc: Rational
+    nu_c: Fraction
+    nu_nc: Fraction
     nu_c_float: float
     nu_nc_float: float
     method: str = METHOD_CLOSED_FORM
@@ -46,33 +54,25 @@ def _check_n(N: int):
         raise ValueError(f"N must be a positive integer, got {N!r}")
 
 
-def nu_c_exact(N: int) -> Rational:
+def _binomial_ratio(N: int) -> tuple[int, int]:
+    """R(N) = p/q (see the module docstring) as the pair of ints (p, q)."""
+    if N % 2 == 0:
+        return 3 * math.comb(3 * N, 3 * N // 2), 4**N * math.comb(N, N // 2)
+    return 4**N * math.comb(N - 1, (N - 1) // 2), math.comb(3 * N - 1, (3 * N - 1) // 2)
+
+
+def nu_c_exact(N: int) -> Fraction:
     """Density of contractible loops per lattice site at circumference 2N."""
     _check_n(N)
-    t1 = (
-        Fraction(1, 2 ** (2 * (N + 1)))
-        * Fraction(3) ** (2 - 3 * N)
-        * (2 - (-1) ** N)
-        * math.factorial(3 * N - 1)
-        / (math.factorial(N - 1) * pochhammer(Fraction(5, 6) - Fraction(N, 2), N) ** 2)
-    )
-    t2 = Fraction(3, 4) * pochhammer(Fraction(N + 1, 2), N) / pochhammer(Fraction(N, 2), N)
-    return t1 + t2 - Fraction(5, 2)
+    p, q = _binomial_ratio(N)
+    return Fraction(3 * p * p - 10 * p * q + 9 * q * q, 4 * p * q)
 
 
-def nu_nc_exact(N: int) -> Rational:
+def nu_nc_exact(N: int) -> Fraction:
     """Density of non-contractible (winding) loops per site at circumference 2N."""
     _check_n(N)
-    bracket = (
-        Fraction(3) ** (3 * N - 2)
-        * (2 + (-1) ** N)
-        * pochhammer(Fraction(5, 6) - Fraction(N, 2), N) ** 2
-        - pochhammer(Fraction(N, 2), N) ** 2
-    )
-    return (
-        Fraction(3 * 2 ** (2 * (N - 1)) * math.factorial(N - 1), N * math.factorial(3 * N - 1))
-        * bracket
-    )
+    p, q = _binomial_ratio(N)
+    return Fraction(p * p - 3 * q * q, 4 * N * p * q)
 
 
 def nu_c_gamma_form(N: int, dps: int = 50) -> float:
@@ -192,7 +192,7 @@ def scaled_residual(kind: str, N: int, order: int, dps: int = 60) -> float:
     return abs(residual) * (2 * N) ** residual_scale_power(kind, order)
 
 
-def make_record(N: int, nu_c: Rational, nu_nc: Rational, method: str) -> DensityRecord:
+def make_record(N: int, nu_c: Fraction, nu_nc: Fraction, method: str) -> DensityRecord:
     return DensityRecord(
         L=2 * N,
         N=N,

@@ -1,11 +1,14 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,8 +22,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
-    import contextlib
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -240,3 +241,92 @@ def test_oracle_contract_holds_for_every_argument(l):
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert out == ""
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Parse ints past Python's default 4300-digit limit, then restore it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(previous)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_density_prints_rationals_past_the_int_digit_limit(fmt):
+    from loopdens.closed_form import nu_c_exact
+
+    proc = run_cli_process(["density", "--l", "6400", "--format", fmt])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    with unlimited_int_digits():
+        if fmt == "text":
+            nu_c = Fraction(proc.stdout.split()[1].removeprefix("nu_c="))
+        elif fmt == "csv":
+            row = list(csv.reader(io.StringIO(proc.stdout)))[1]
+            nu_c = Fraction(int(row[1]), int(row[2]))
+        else:
+            got = json.loads(proc.stdout)[0]["nu_c"]
+            nu_c = Fraction(got["num"], got["den"])
+        exact = nu_c_exact(3200)
+        assert len(str(exact.numerator)) > 4300
+    assert nu_c == exact
+
+
+def test_cli_restores_the_int_digit_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    before = sys.get_int_max_str_digits()
+    code, out = run_cli(["density", "--l", "6400"])
+    assert code == EXIT_OK and out.startswith("L=6400")
+    assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.parametrize("command", ["density", "asymptote"])
+@pytest.mark.parametrize("l_range", ["3:3", "4:2", "-1:-1"])
+def test_range_without_even_l_is_usage_error(command, l_range):
+    proc = run_cli_process([command, f"--l-range={l_range}"])
+    assert_contract(proc, EXIT_USAGE)
+    assert "--l-range" in proc.stderr
+
+
+_L_ARGS = st.one_of(
+    st.integers(min_value=-4, max_value=10_000).map(lambda l: ["--l", str(l)]),
+    st.tuples(
+        st.integers(min_value=-4, max_value=10_000), st.integers(min_value=-4, max_value=12)
+    ).map(lambda p: [f"--l-range={p[0]}:{p[0] + p[1]}"]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    l_args=_L_ARGS,
+    fmt=st.sampled_from(["text", "csv", "json"]),
+    mode=st.sampled_from(["exact", "float"]),
+)
+def test_density_contract_holds_for_every_argument(l_args, fmt, mode):
+    code, out = run_cli(["density", *l_args, "--format", fmt, "--mode", mode])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out == ""
+    elif fmt == "json":
+        with unlimited_int_digits():
+            json.loads(out, parse_constant=_reject_constant)
+
+
+@settings(max_examples=30, deadline=None)
+@given(l_args=_L_ARGS, order=st.sampled_from(["0", "1", "2"]))
+def test_asymptote_contract_holds_for_every_argument(l_args, order):
+    code, out = run_cli(["asymptote", *l_args, "--order", order])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out == ""
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[2:])

@@ -1,6 +1,7 @@
-"""Closed-form densities: the published rationals, gamma cross-checks and
-asymptotics."""
+"""Closed-form densities: the published rationals, the paper's Pochhammer
+forms, gamma cross-checks and asymptotics."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from loopdens.closed_form import (
     nu_nc_asymptotic,
     nu_nc_exact,
     nu_nc_gamma_form,
+    _binomial_ratio,
     scaled_residual,
 )
+from loopdens.cyclotomic import pochhammer
 
 # first six values of each density, as printed in the source tables
 NU_C_TABLE = [
@@ -39,10 +42,62 @@ NU_NC_TABLE = [
 ]
 
 
+def paper_nu_c(N):
+    """The paper's nu_c in factorials and Pochhammer symbols (reference)."""
+    t1 = (
+        Fraction(1, 2 ** (2 * (N + 1)))
+        * Fraction(3) ** (2 - 3 * N)
+        * (2 - (-1) ** N)
+        * math.factorial(3 * N - 1)
+        / (math.factorial(N - 1) * pochhammer(Fraction(5, 6) - Fraction(N, 2), N) ** 2)
+    )
+    t2 = Fraction(3, 4) * pochhammer(Fraction(N + 1, 2), N) / pochhammer(Fraction(N, 2), N)
+    return t1 + t2 - Fraction(5, 2)
+
+
+def paper_nu_nc(N):
+    """The paper's nu_nc in factorials and Pochhammer symbols (reference)."""
+    bracket = (
+        Fraction(3) ** (3 * N - 2)
+        * (2 + (-1) ** N)
+        * pochhammer(Fraction(5, 6) - Fraction(N, 2), N) ** 2
+        - pochhammer(Fraction(N, 2), N) ** 2
+    )
+    return (
+        Fraction(3 * 2 ** (2 * (N - 1)) * math.factorial(N - 1), N * math.factorial(3 * N - 1))
+        * bracket
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_published_rationals(n):
     assert nu_c_exact(n) == NU_C_TABLE[n - 1]
     assert nu_nc_exact(n) == NU_NC_TABLE[n - 1]
+
+
+@pytest.mark.parametrize("n", [*range(1, 201), 300, 600])
+def test_binomial_form_equals_paper_pochhammer_form(n):
+    assert nu_c_exact(n) == paper_nu_c(n)
+    assert nu_nc_exact(n) == paper_nu_nc(n)
+
+
+def test_binomial_ratio_obeys_two_step_recurrence():
+    # R(1) = 2, R(2) = 15/8 and R(N+2)/R(N) fix R for every N; uses neither
+    # the Pochhammer nor the gamma form
+    assert Fraction(*_binomial_ratio(1)) == 2
+    assert Fraction(*_binomial_ratio(2)) == Fraction(15, 8)
+    ratios = [_binomial_ratio(n) for n in range(1, 2003)]
+    for n in range(1, 2001):
+        (p0, q0), (p2, q2) = ratios[n - 1], ratios[n + 1]
+        num = n * (3 * n + 1) * (3 * n + 3) * (3 * n + 5)
+        den = (n + 1) * 3 * n * (3 * n + 2) * (3 * n + 4)
+        assert p2 * q0 * den == p0 * q2 * num, n
+
+
+@pytest.mark.parametrize("n", [600, 1200, 3000])
+def test_binomial_form_matches_gamma_form_at_large_n(n):
+    assert nu_c_gamma_form(n) == pytest.approx(float(nu_c_exact(n)), rel=1e-12, abs=0)
+    assert nu_nc_gamma_form(n) == pytest.approx(float(nu_nc_exact(n)), rel=1e-12, abs=0)
 
 
 def test_input_validation():
