@@ -3,8 +3,13 @@
 Every vertex of the square lattice independently takes one of the two
 unit-weight tiles with probability 1/2.  Tiles route the four incident bond
 ends pairwise, so the whole configuration decomposes into loops that cover
-every bond exactly once; each loop is traced once by arc-following and
-classified by its winding numbers around the two cycles of the torus:
+every bond exactly once.  The walk table sends each directed state (a site
+and the side it is entered from) to the next one along its loop; it is a
+permutation whose cycles are the loops, each once per orientation.  The
+census labels those cycles in one C pass (scipy's strongly connected
+components), sums each cycle's signed seam crossings with ``np.bincount``
+and halves the class counts.  Each loop is classified by its winding numbers
+around the two cycles of the torus:
 
 * vertical winding != 0    -> torus artifact, counted separately and excluded
   from both densities (exponentially rare for H >> L),
@@ -29,14 +34,14 @@ import numpy as np
 # 1 = from east, 2 = from south (moving N), 3 = from north.
 # exit sides encoded N=0, S=1, E=2, W=3.
 # tile 0 pairs (W,N)(S,E); tile 1 pairs (W,S)(N,E).
-_EXIT_SIDE = np.array([[0, 1, 2, 3], [1, 0, 3, 2]], dtype=np.int64)
-_EXIT_DX = np.array([0, 0, 1, -1], dtype=np.int64)
-_EXIT_DY = np.array([1, -1, 0, 0], dtype=np.int64)
-_EXIT_ENTRY = np.array([2, 3, 0, 1], dtype=np.int64)
+_EXIT_SIDE = np.array([[0, 1, 2, 3], [1, 0, 3, 2]], dtype=np.int32)
+_EXIT_DX = np.array([0, 0, 1, -1], dtype=np.int32)
+_EXIT_DY = np.array([1, -1, 0, 0], dtype=np.int32)
+_EXIT_ENTRY = np.array([2, 3, 0, 1], dtype=np.int32)
 
-# per-step winding increments are packed as (wy << _WSHIFT) + wx; loop sums
-# stay far below 2^(_WSHIFT-1) since |winding| <= 2*H
-_WSHIFT = 28
+# bound on the 2*L*H bonds: the 4*L*H directed states are indexed in int32,
+# which the cycle labelling needs, and this keeps them far inside it
+_MAX_BONDS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,11 @@ class MCConfig:
             raise ValueError(f"H must be >= 10*L = {10 * self.L}, got {self.H}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if 2 * self.L * self.H >= 1 << (_WSHIFT - 1):
-            raise ValueError("lattice too large for packed winding accumulators")
+        if 2 * self.L * self.H >= _MAX_BONDS:
+            raise ValueError(
+                f"lattice too large: 2*L*H = {2 * self.L * self.H} must be < 2^27 "
+                "for int32 state indices"
+            )
 
 
 @dataclass(frozen=True)
@@ -98,33 +106,34 @@ class MCStats:
 def _static_tables(L: int, H: int):
     """Tile-independent routing data for an L x H torus.
 
-    For each tile type, the flat arrays (next state, packed seam crossings)
-    over states s = 4*(y*L + x) + entry; plus the mirror map sending a
-    directed edge to its reversal (geometry only, shared by all replicas).
-    Winding numbers equal the signed crossing counts of the two seams
-    (between x = L-1 and 0, and between y = H-1 and 0).
+    Returns ``(succ, seam_states, seam_dx, seam_dy)``.  ``succ[tile]`` is the
+    int32 successor of every state s = 4*(y*L + x) + entry under that tile
+    type.  The seam arrays list the states a walk enters by crossing a seam,
+    with the signed crossing in x and in y (int8): entering column 0 from the
+    west crosses the seam between x = L-1 and 0 eastwards, entering column
+    L-1 from the east crosses it westwards, and likewise for rows 0 and H-1.
+    So the crossings belong to the entered state and do not depend on the
+    tiles.  Winding numbers equal the signed seam crossings of a loop.
     """
-    d = np.arange(4, dtype=np.int64)[None, None, :]
-    x = np.arange(L, dtype=np.int64)[None, :, None]
-    y = np.arange(H, dtype=np.int64)[:, None, None]
-    per_tile = []
+    d = np.arange(4, dtype=np.int32)[None, None, :]
+    x = np.arange(L, dtype=np.int32)[None, :, None]
+    y = np.arange(H, dtype=np.int32)[:, None, None]
+    succ = np.empty((2, 4 * L * H), dtype=np.int32)
     for tile in (0, 1):
         e = _EXIT_SIDE[tile][d]
-        dx = _EXIT_DX[e]
-        dy = _EXIT_DY[e]
-        nxt = 4 * (((y + dy) % H) * L + (x + dx) % L) + _EXIT_ENTRY[e]
-        wx = ((dx == 1) & (x == L - 1)).astype(np.int64) - ((dx == -1) & (x == 0)).astype(
-            np.int64
-        )
-        wy = ((dy == 1) & (y == H - 1)).astype(np.int64) - ((dy == -1) & (y == 0)).astype(
-            np.int64
-        )
-        per_tile.append((nxt.reshape(-1), ((wy << _WSHIFT) + wx).reshape(-1)))
-    ex = np.array([-1, 1, 0, 0], dtype=np.int64)[d]
-    ey = np.array([0, 0, -1, 1], dtype=np.int64)[d]
-    opp = np.array([1, 0, 3, 2], dtype=np.int64)[d]
-    mirror = (4 * (((y + ey) % H) * L + (x + ex) % L) + opp).reshape(-1).tolist()
-    return per_tile, mirror
+        site = ((y + _EXIT_DY[e]) % H) * L + (x + _EXIT_DX[e]) % L
+        succ[tile] = (4 * site + _EXIT_ENTRY[e]).reshape(-1)
+    xs, ys = x.reshape(-1), y.reshape(-1)
+    seam_states = np.concatenate(
+        [4 * L * ys, 4 * (L * ys + L - 1) + 1, 4 * xs + 2, 4 * (L * (H - 1) + xs) + 3]
+    )
+    sizes = [H, H, L, L]
+    seam_dx = np.repeat(np.array([1, -1, 0, 0], dtype=np.int8), sizes)
+    seam_dy = np.repeat(np.array([0, 0, 1, -1], dtype=np.int8), sizes)
+    tables = (succ, seam_states, seam_dx, seam_dy)
+    for a in tables:  # cached and shared by every replica
+        a.flags.writeable = False
+    return tables
 
 
 def _sample_tiles(cfg: MCConfig, replica_index: int) -> np.ndarray:
@@ -133,54 +142,57 @@ def _sample_tiles(cfg: MCConfig, replica_index: int) -> np.ndarray:
     return rng.integers(0, 2, size=(cfg.H, cfg.L), dtype=np.int8)
 
 
-def walk_tables(cfg: MCConfig, tiles: np.ndarray):
-    """(next, packed winding, mirror) flat lists for one tile configuration."""
-    (tab0, tab1), mirror = _static_tables(cfg.L, cfg.H)
-    cond = np.repeat(tiles.reshape(-1) == 0, 4)
-    nxt = np.where(cond, tab0[0], tab1[0])
-    ww = np.where(cond, tab0[1], tab1[1])
-    # the directed-edge map must be a permutation or tracing could hang
-    counts = np.bincount(nxt, minlength=nxt.size)
-    if counts.max() != 1:
+def walk_tables(cfg: MCConfig, tiles: np.ndarray) -> np.ndarray:
+    """The int32 successor of every directed state for one tile configuration."""
+    succ = _static_tables(cfg.L, cfg.H)[0]
+    nxt = np.where(np.repeat(tiles.reshape(-1) == 0, 4), succ[0], succ[1])
+    # the directed-edge map must be a permutation or the cycles are not loops
+    hit = np.zeros(nxt.size, dtype=bool)
+    hit[nxt] = True
+    if not hit.all():
         raise AssertionError("walk table is not a permutation (routing bug)")
-    return nxt.tolist(), ww.tolist(), mirror
+    return nxt
+
+
+def _loop_counts(cfg: MCConfig, tiles: np.ndarray) -> tuple[int, int, int, int]:
+    """(contractible, non-contractible, vertically winding, all) loop counts.
+
+    The cycles of the permutation ``walk_tables(cfg, tiles)`` are the directed
+    loops: every loop is two cycles, one per orientation, with opposite
+    windings.  They are labelled as the strongly connected components of the
+    graph s -> nxt[s], their seam crossings are summed per label, and each
+    class count is halved.
+    """
+    # imported here, not at module level, so that `import loopdens` stays light
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    nxt = walk_tables(cfg, tiles)
+    _, seam_states, seam_dx, seam_dy = _static_tables(cfg.L, cfg.H)
+    n = nxt.size
+    indptr = np.arange(n + 1, dtype=np.int32)
+    graph = csr_matrix((np.ones(n, dtype=np.int8), nxt, indptr), shape=(n, n))
+    n_cycles, labels = connected_components(graph, directed=True, connection="strong")
+    seam_labels = labels[seam_states]
+    windx = np.bincount(seam_labels, weights=seam_dx, minlength=n_cycles)
+    windy = np.bincount(seam_labels, weights=seam_dy, minlength=n_cycles)
+    vertical = windy != 0
+    n_vert = int(np.count_nonzero(vertical))
+    n_nc = int(np.count_nonzero(~vertical & (windx != 0)))
+    counts = (n_cycles - n_vert - n_nc, n_nc, n_vert, n_cycles)
+    if any(c % 2 for c in counts):
+        raise AssertionError(f"directed cycles do not pair into loops (routing bug): {counts}")
+    return tuple(c // 2 for c in counts)
 
 
 def sample_lattice(cfg: MCConfig, replica_index: int) -> LoopCensus:
-    """Sample one replica's tile array and trace every loop exactly once.
+    """Sample one replica's tile array and classify every loop exactly once.
 
-    Tracing marks both orientations of each traversed edge, so the loop over
-    seeds visits each loop once; the permutation property of the walk table
-    guarantees every bond lies on exactly one loop.
+    The permutation property of the walk table guarantees every bond lies on
+    exactly one loop, and every loop on exactly two directed cycles.
     """
     cfg.validate()
-    tiles = _sample_tiles(cfg, replica_index)
-    nxt, ww, mirror = walk_tables(cfg, tiles)
-    n_states = 4 * cfg.L * cfg.H
-    visited = bytearray(n_states)
-    n_c = n_nc = n_vert = n_loops = 0
-    half = 1 << (_WSHIFT - 1)
-    for seed_state in range(n_states):
-        if visited[seed_state]:
-            continue
-        cur = seed_state
-        acc = 0
-        while True:
-            visited[cur] = 1
-            visited[mirror[cur]] = 1
-            acc += ww[cur]
-            cur = nxt[cur]
-            if cur == seed_state:
-                break
-        windy = (acc + half) >> _WSHIFT
-        windx = acc - (windy << _WSHIFT)
-        n_loops += 1
-        if windy != 0:
-            n_vert += 1
-        elif windx != 0:
-            n_nc += 1
-        else:
-            n_c += 1
+    n_c, n_nc, n_vert, n_loops = _loop_counts(cfg, _sample_tiles(cfg, replica_index))
     return LoopCensus(
         L=cfg.L,
         H=cfg.H,

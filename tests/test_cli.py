@@ -243,6 +243,29 @@ def test_oracle_contract_holds_for_every_argument(l):
         assert out == ""
 
 
+# half the draws of --l and --replicas come from their valid values, so
+# that many examples run a lattice instead of stopping at a usage error
+@settings(max_examples=40, deadline=None)
+@given(
+    l=st.integers(min_value=-2, max_value=8) | st.sampled_from([2, 4, 6, 8]),
+    height=st.integers(min_value=-5, max_value=200),
+    replicas=st.integers(min_value=-1, max_value=4) | st.integers(min_value=2, max_value=4),
+    seed=st.integers(),
+    workers=st.integers(min_value=1, max_value=2),
+)
+def test_simulate_contract_holds_for_every_argument(l, height, replicas, seed, workers):
+    argv = ["simulate", "--l", str(l), "--height", str(height), "--replicas", str(replicas)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv + [f"--seed={seed}", "--workers", str(workers)])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert out == ""
+    else:
+        json.loads(out, parse_constant=_reject_constant)
+
+
 @contextlib.contextmanager
 def unlimited_int_digits():
     """Parse ints past Python's default 4300-digit limit, then restore it."""

@@ -1,19 +1,27 @@
 """Monte Carlo sampler: determinism, tracing invariants and statistics."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loopdens.closed_form import nu_c_exact, nu_nc_exact
+from loopdens import montecarlo
 from loopdens.montecarlo import (
     MCConfig,
+    _loop_counts,
     _sample_tiles,
     run,
     sample_lattice,
     stats_json,
     walk_tables,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def reference_trace(L, H, tiles):
@@ -71,6 +79,81 @@ def census_from_loops(loops):
         else:
             n_c += 1
     return n_c, n_nc, n_vert
+
+
+def reference_walk_tables(L, H, tiles):
+    """(next, packed seam crossings, mirror) flat lists: the walk tables of
+    the arc-following tracer that the cycle census replaced.  The crossing of
+    each step is booked on the state it leaves, packed as (wy << 28) + wx."""
+    exit_side = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
+    exit_dx = np.array([0, 0, 1, -1])
+    exit_dy = np.array([1, -1, 0, 0])
+    exit_entry = np.array([2, 3, 0, 1])
+    d = np.arange(4)[None, None, :]
+    x = np.arange(L)[None, :, None]
+    y = np.arange(H)[:, None, None]
+    per_tile = []
+    for tile in (0, 1):
+        e = exit_side[tile][d]
+        dx, dy = exit_dx[e], exit_dy[e]
+        nxt = 4 * (((y + dy) % H) * L + (x + dx) % L) + exit_entry[e]
+        wx = ((dx == 1) & (x == L - 1)).astype(np.int64) - ((dx == -1) & (x == 0))
+        wy = ((dy == 1) & (y == H - 1)).astype(np.int64) - ((dy == -1) & (y == 0))
+        per_tile.append((nxt.reshape(-1), ((wy << 28) + wx).reshape(-1)))
+    ex = np.array([-1, 1, 0, 0])[d]
+    ey = np.array([0, 0, -1, 1])[d]
+    opp = np.array([1, 0, 3, 2])[d]
+    mirror = (4 * (((y + ey) % H) * L + (x + ex) % L) + opp).reshape(-1)
+    cond = np.repeat(np.asarray(tiles).reshape(-1) == 0, 4)
+    nxt = np.where(cond, per_tile[0][0], per_tile[1][0])
+    ww = np.where(cond, per_tile[0][1], per_tile[1][1])
+    return nxt.tolist(), ww.tolist(), mirror.tolist()
+
+
+def seam_tracer_counts(L, H, tiles):
+    """Reference census: follow each loop once, marking both orientations of
+    every traversed edge, and classify it by its summed seam crossings.
+    Returns (contractible, non-contractible, vertically winding, all)."""
+    nxt, ww, mirror = reference_walk_tables(L, H, tiles)
+    visited = bytearray(len(nxt))
+    n_c = n_nc = n_vert = n_loops = 0
+    half = 1 << 27
+    for seed_state in range(len(nxt)):
+        if visited[seed_state]:
+            continue
+        cur = seed_state
+        acc = 0
+        while True:
+            visited[cur] = 1
+            visited[mirror[cur]] = 1
+            acc += ww[cur]
+            cur = nxt[cur]
+            if cur == seed_state:
+                break
+        windy = (acc + half) >> 28
+        windx = acc - (windy << 28)
+        n_loops += 1
+        if windy != 0:
+            n_vert += 1
+        elif windx != 0:
+            n_nc += 1
+        else:
+            n_c += 1
+    return n_c, n_nc, n_vert, n_loops
+
+
+def crafted_tiles(H, L):
+    """Tile arrays with long straight or diagonal loops: all-0 and all-1
+    (diagonals that wind vertically), checkerboard, row and column stripes."""
+    y, x = np.mgrid[0:H, 0:L]
+    arrays = {
+        "all-0": np.zeros((H, L)),
+        "all-1": np.ones((H, L)),
+        "checkerboard": (x + y) % 2,
+        "row stripes": y % 2,
+        "column stripes": x % 2,
+    }
+    return {name: a.astype(np.int8) for name, a in arrays.items()}
 
 
 def test_every_edge_on_exactly_one_loop():
@@ -134,9 +217,70 @@ def test_run_needs_two_replicas():
 
 def test_walk_table_is_permutation():
     cfg = MCConfig(L=4, H=60, seed=2, replicas=1)
-    nxt, ww, mirror = walk_tables(cfg, _sample_tiles(cfg, 0))
-    assert sorted(nxt) == list(range(4 * 4 * 60))
-    assert sorted(mirror) == list(range(4 * 4 * 60))
+    tiles = _sample_tiles(cfg, 0)
+    nxt = walk_tables(cfg, tiles)
+    assert nxt.dtype == np.int32
+    assert sorted(nxt.tolist()) == list(range(4 * 4 * 60))
+    assert nxt.tolist() == reference_walk_tables(4, 60, tiles)[0]
+
+
+HEIGHTS = {"10L": lambda L: 10 * L, "10L+1": lambda L: 10 * L + 1, "100L+1": lambda L: 100 * L + 1}
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+@pytest.mark.parametrize("height", sorted(HEIGHTS))
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_cycle_census_matches_seam_tracer(L, height, seed):
+    H = HEIGHTS[height](L)
+    cfg = MCConfig(L=L, H=H, seed=seed, replicas=1)
+    tiles = _sample_tiles(cfg, 0)
+    assert _loop_counts(cfg, tiles) == seam_tracer_counts(L, H, tiles)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+@pytest.mark.parametrize("odd", [0, 3])
+def test_cycle_census_matches_seam_tracer_on_crafted_tiles(L, odd):
+    H = 10 * L + odd
+    cfg = MCConfig(L=L, H=H, seed=0, replicas=1)
+    n_vert = n_nc = 0
+    for name, tiles in crafted_tiles(H, L).items():
+        counts = _loop_counts(cfg, tiles)
+        assert counts == seam_tracer_counts(L, H, tiles), name
+        n_nc += counts[1]
+        n_vert += counts[2]
+    assert n_vert > 0 and n_nc > 0
+
+
+def test_census_refuses_a_table_that_is_not_a_permutation(monkeypatch):
+    cfg = MCConfig(L=2, H=20, seed=0, replicas=1)
+    succ, *seams = montecarlo._static_tables(2, 20)
+    broken = succ.copy()
+    broken[:, 41] = broken[:, 42]
+    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (broken, *seams))
+    with pytest.raises(AssertionError, match="not a permutation"):
+        _loop_counts(cfg, _sample_tiles(cfg, 0))
+
+
+def test_census_refuses_cycles_that_do_not_pair(monkeypatch):
+    # the identity with states 42 and 43 swapped (site x=0, y=5, off both
+    # seams) is a permutation with an odd number of cycles
+    cfg = MCConfig(L=2, H=20, seed=0, replicas=1)
+    _, *seams = montecarlo._static_tables(2, 20)
+    one_swap = np.tile(np.arange(4 * 2 * 20, dtype=np.int32), (2, 1))
+    one_swap[:, [42, 43]] = one_swap[:, [43, 42]]
+    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (one_swap, *seams))
+    with pytest.raises(AssertionError, match="do not pair"):
+        _loop_counts(cfg, _sample_tiles(cfg, 0))
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported by the first census, not by the package
+    code = "import sys, loopdens, loopdens.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_statistics_within_3_sigma():
