@@ -530,12 +530,3 @@ def fq_fp_closed_eval(N: int, sign: int):
             f"!= direct ({fq_direct!r}, {fp_direct!r})"
         )
     return fq_closed, fp_closed
-
-
-def legendre_duplication_residual(z: float, dps: int = 40) -> float:
-    """|Gamma(z)Gamma(z+1/2) - sqrt(pi) 2^(1-2z) Gamma(2z)| / |Gamma(2z)|."""
-    with mp.workdps(dps):
-        zz = mp.mpf(z)
-        lhs = mp.gamma(zz) * mp.gamma(zz + mp.mpf(1) / 2)
-        rhs = mp.sqrt(mp.pi) * mp.mpf(2) ** (1 - 2 * zz) * mp.gamma(2 * zz)
-        return float(abs(lhs - rhs) / abs(rhs))

@@ -23,7 +23,6 @@ Error bars come from replica-to-replica variance, never from per-loop counts.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -271,8 +270,3 @@ def stats_payload(stats: MCStats, nu_c_target: float, nu_nc_target: float) -> di
         "n_vertical_winding": stats.n_vertical_winding,
         "n_loops": stats.n_loops,
     }
-
-
-def stats_json(stats: MCStats, nu_c_target: float, nu_nc_target: float) -> str:
-    """Deterministic JSON rendering of stats_payload."""
-    return json.dumps(stats_payload(stats, nu_c_target, nu_nc_target), indent=2, sort_keys=True)

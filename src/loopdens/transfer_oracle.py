@@ -20,11 +20,18 @@ The basis is the closure of the nested pattern under the row operator.  The
 right Perron vector is a float64 solve rounded to integers and certified
 exactly: integer eigenvector equation, column sums 2^L and a strongly
 connected state graph, so Perron-Frobenius makes it the unique Perron vector.
+
+The six-vertex check works on arrows only, never on link patterns.  It puts
+the twist phi on the seam: arrow conservation turns the product of the vertex
+twist factors over a row into exp(i phi (2 h0 - 1)), h0 the seam edge, times
+a unitary diagonal similarity.  Each magnetisation sector block is then
+exp(-i phi) A0 + exp(i phi) A1 with A0 and A1 integer matrices built once
+per L, and phi -> -phi conjugates the block, so Lambda_max is even in phi by
+construction.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,17 +181,20 @@ def enumerate_states(L: int) -> tuple:
 class TransferMatrix:
     """Row transfer operator with loop-closure bookkeeping.
 
-    fugacity[out][in] maps (#contractible, #non-contractible) closed during
-    the transition to its count; counts[out][in], d_w[out][in], d_v[out][in]
-    are the value and the two fugacity derivatives at w = v = 1.
+    cells[(out, in)] maps (#contractible, #non-contractible) closed during
+    the transition to its count, for every non-zero (out, in) pair, and
+    counts[out][in] is their total, the operator at w = v = 1.  loops_c[in]
+    and loops_nc[in] add up the contractible and non-contractible closures
+    over all 2^L rows leaving state in: the column sums of the two fugacity
+    derivatives at w = v = 1.
     """
 
     L: int
     states: tuple
-    fugacity: tuple
+    cells: dict
     counts: tuple
-    d_w: tuple
-    d_v: tuple
+    loops_c: tuple
+    loops_nc: tuple
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +210,9 @@ def row_transfer_matrix(L: int) -> TransferMatrix:
     found = {LinkState.nested(L): 0}
     order = list(found)
     cells = {}
+    closed = []
     for col, s in enumerate(order):  # order grows while it is walked
+        n_c_col = n_nc_col = 0
         for caps, shifts, cups in diagrams:
             out, n_c, n_nc = _apply_diagram(s, caps, shifts, cups)
             row = found.setdefault(out, len(order))
@@ -208,28 +220,23 @@ def row_transfer_matrix(L: int) -> TransferMatrix:
                 order.append(out)
             cell = cells.setdefault((row, col), {})
             cell[n_c, n_nc] = cell.get((n_c, n_nc), 0) + 1
+            n_c_col += n_c
+            n_nc_col += n_nc
+        closed.append((n_c_col, n_nc_col))
     states = tuple(sorted(order, key=lambda s: (s.match, s.parity)))
     index = {s: k for k, s in enumerate(states)}
     pos = [index[s] for s in order]
-    n = len(states)
-    fug = [[{} for _ in range(n)] for _ in range(n)]
-    m0 = [[0] * n for _ in range(n)]
-    mw = [[0] * n for _ in range(n)]
-    mv = [[0] * n for _ in range(n)]
-    for (row, col), cell in cells.items():
-        i, j = pos[row], pos[col]
-        fug[i][j] = cell
-        m0[i][j] = sum(cell.values())
-        mw[i][j] = sum(k[0] * c for k, c in cell.items())
-        mv[i][j] = sum(k[1] * c for k, c in cell.items())
-    freeze = lambda mat: tuple(tuple(r) for r in mat)
+    cells = {(pos[row], pos[col]): cell for (row, col), cell in cells.items()}
+    counts = [[0] * len(states) for _ in states]
+    for (i, j), cell in cells.items():
+        counts[i][j] = sum(cell.values())
     return TransferMatrix(
         L=L,
         states=states,
-        fugacity=freeze(fug),
-        counts=freeze(m0),
-        d_w=freeze(mw),
-        d_v=freeze(mv),
+        cells=cells,
+        counts=tuple(tuple(r) for r in counts),
+        loops_c=tuple(closed[found[s]][0] for s in states),
+        loops_nc=tuple(closed[found[s]][1] for s in states),
     )
 
 
@@ -289,40 +296,32 @@ def oracle_densities(L: int) -> DensityRecord:
 
     nu_c = (1/L) (l . dD/dw . r) / (Lambda l . r) at w = v = 1, and the same
     with dD/dv for nu_nc, everything over exact rationals.  The left vector l
-    is all-ones, so l . r = sum(r) and l . M . r = colsum(M) . r.
+    is all-ones, so l . r = sum(r) and l . M . r = colsum(M) . r, with the
+    column sums of the derivatives held in loops_c and loops_nc.
     """
     check_oracle_l(L)
     tm = row_transfer_matrix(L)
     _, right = perron_eigenvectors(tm)
-    overlap = sum(right)
-
-    def bilinear(mat):
-        return sum(sum(col) * x for col, x in zip(zip(*mat), right))
-
-    scale = 2 ** L * overlap * L
-    nu_c = Fraction(bilinear(tm.d_w), scale)
-    nu_nc = Fraction(bilinear(tm.d_v), scale)
+    scale = 2 ** L * sum(right) * L
+    nu_c = Fraction(sum(x * y for x, y in zip(tm.loops_c, right)), scale)
+    nu_nc = Fraction(sum(x * y for x, y in zip(tm.loops_nc, right)), scale)
     return make_record(L // 2, nu_c, nu_nc, METHOD_TRANSFER_ORACLE)
 
 
 def matrix_json(L: int) -> dict:
     """JSON-ready dump of the transfer operator for inspection."""
     tm = row_transfer_matrix(L)
-    entries = []
-    for i in range(len(tm.states)):
-        for j in range(len(tm.states)):
-            if not tm.fugacity[i][j]:
-                continue
-            entries.append(
-                {
-                    "from": j,
-                    "to": i,
-                    "weights": [
-                        {"contractible": k[0], "non_contractible": k[1], "count": c}
-                        for k, c in sorted(tm.fugacity[i][j].items())
-                    ],
-                }
-            )
+    entries = [
+        {
+            "from": j,
+            "to": i,
+            "weights": [
+                {"contractible": k[0], "non_contractible": k[1], "count": c}
+                for k, c in sorted(tm.cells[i, j].items())
+            ],
+        }
+        for i, j in sorted(tm.cells)
+    ]
     return {
         "L": L,
         "states": [
@@ -336,50 +335,6 @@ def matrix_json(L: int) -> dict:
 # -- six-vertex numeric cross-check -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SixVertexWeights:
-    """Twisted six-vertex vertex weights on a circumference-L cylinder."""
-
-    a1: complex
-    a2: complex
-    b1: complex
-    b2: complex
-    c1: complex
-    c2: complex
-    z: complex
-    phi: float
-    q: complex
-
-    @classmethod
-    def at(cls, L: int, phi: float, z: complex = 1.0) -> "SixVertexWeights":
-        q = cmath.exp(1j * math.pi / 3)
-        tw = cmath.exp(1j * phi / L)
-        sq = cmath.exp(1j * math.pi / 6)  # q^(1/2)
-        return cls(
-            a1=z * tw,
-            a2=z / tw,
-            b1=1 / tw,
-            b2=tw,
-            c1=z * sq + 1 / sq,
-            c2=sq + z / sq,
-            z=z,
-            phi=phi,
-            q=q,
-        )
-
-
-def _vertex_tensor(w: SixVertexWeights) -> np.ndarray:
-    """W[v_in, h_in, v_out, h_out]; bits: up/right arrows = 1."""
-    W = np.zeros((2, 2, 2, 2), dtype=complex)
-    W[1, 1, 1, 1] = w.a1
-    W[0, 0, 0, 0] = w.a2
-    W[1, 0, 1, 0] = w.b1
-    W[0, 1, 0, 1] = w.b2
-    W[1, 1, 0, 0] = w.c1
-    W[0, 0, 1, 1] = w.c2
-    return W
-
-
 def sector_states(L: int) -> list[np.ndarray]:
     """Row configurations (L-bit integers, up arrow = 1) grouped by the
     number k of up arrows: entry k holds those with k set bits, ascending."""
@@ -388,31 +343,39 @@ def sector_states(L: int) -> list[np.ndarray]:
     return [configs[ups == k] for k in range(L + 1)]
 
 
-def sixvertex_transfer(L: int, phi: float, z: complex = 1.0) -> list[np.ndarray]:
-    """Row transfer matrix (trace over the horizontal line) as its L + 1
-    magnetisation-sector blocks.
+def sixvertex_transfer(L: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seam-gauge row transfer matrix (trace over the horizontal line) as its
+    L + 1 magnetisation-sector blocks.
 
     Every vertex conserves arrows, so T only joins configurations with the
-    same number k of up arrows.  Block k is T on sector_states(L)[k], with
-    T[beta, alpha] the weight of the row taking alpha below to beta above.
+    same number k of up arrows.  Block k is the integer pair (A0, A1) on
+    sector_states(L)[k]: A_h[beta, alpha] is the untwisted weight of the row
+    taking alpha below to beta above with seam edge h, and T_k(phi) is
+    similar to exp(-i phi) A0 + exp(i phi) A1.  At the stochastic point
+    a = b = 1 and c = sqrt(3); around a closed row the c vertices come in
+    (c1, c2) pairs, so c1 -> 3 and c2 -> 1 keeps every weight exact.
     """
-    W = _vertex_tensor(SixVertexWeights.at(L, phi, z))
-    # hv[v_in, v_out] is the 2x2 horizontal transfer block of one vertex
-    hv = W.transpose(0, 2, 1, 3)
+    # hv[v_in, v_out, h_in, h_out] is the 2x2 horizontal block of one vertex
+    hv = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    hv[1, 1, 1, 1] = hv[0, 0, 0, 0] = 1  # a1, a2
+    hv[1, 1, 0, 0] = hv[0, 0, 1, 1] = 1  # b1, b2
+    hv[1, 0, 1, 0] = 3  # c1, carrying the c^2 of its pair
+    hv[0, 1, 0, 1] = 1  # c2
     blocks = []
     for states in sector_states(L):
         bits = (states[:, None] >> np.arange(L)) & 1
         # site i at [beta, alpha] is hv[alpha_i, beta_i]
         prod = hv[bits[None, :, 0], bits[:, None, 0]]
         for i in range(1, L):
-            prod = np.einsum("baij,bajk->baik", prod, hv[bits[None, :, i], bits[:, None, i]])
-        blocks.append(np.einsum("baii->ba", prod))
+            prod = prod @ hv[bits[None, :, i], bits[:, None, i]]
+        blocks.append((prod[:, :, 0, 0], prod[:, :, 1, 1]))
     return blocks
 
 
-def _lambda_max(L: int, phi: float) -> float:
-    """Largest |eigenvalue| of T: the union of the block spectra is its spectrum."""
-    return max(float(np.max(np.abs(np.linalg.eigvals(b)))) for b in sixvertex_transfer(L, phi))
+def _lambda_max(blocks, phi: float) -> float:
+    """Largest |eigenvalue| of T(phi): the union of the block spectra is its spectrum."""
+    u = np.exp(1j * phi)
+    return max(float(np.max(np.abs(np.linalg.eigvals(a0 / u + a1 * u)))) for a0, a1 in blocks)
 
 
 @dataclass(frozen=True)
@@ -435,16 +398,21 @@ def sixvertex_check(L: int, delta_phi: float = 1e-4) -> SixVertexReport:
     """Check Lambda_max = 2^L at the stochastic point and recover nu_nc from
     a central finite difference of ln Lambda_max in the twist angle:
     nu_nc = -(1/(2 sqrt(3) N)) d ln Lambda / d phi at phi = pi/3.
+
+    The seam-gauge blocks are built once and shared by the four Lambda_max
+    evaluations.  phi_symmetry_error compares Lambda_max at phi = +-pi/3;
+    the real A0, A1 make the two equal by construction, so it reads about 0.
     """
     check_oracle_l(L)
     if not (1e-6 <= delta_phi <= 1e-3):
         raise ValueError(f"delta_phi must lie in [1e-6, 1e-3], got {delta_phi}")
+    blocks = sixvertex_transfer(L)
     phi0 = math.pi / 3
-    lam0 = _lambda_max(L, phi0)
-    lam_sym = _lambda_max(L, -phi0)
-    dln = (math.log(_lambda_max(L, phi0 + delta_phi)) - math.log(_lambda_max(L, phi0 - delta_phi))) / (
-        2 * delta_phi
-    )
+    lam0 = _lambda_max(blocks, phi0)
+    lam_sym = _lambda_max(blocks, -phi0)
+    dln = (
+        math.log(_lambda_max(blocks, phi0 + delta_phi)) - math.log(_lambda_max(blocks, phi0 - delta_phi))
+    ) / (2 * delta_phi)
     N = L // 2
     nu_fd = -dln / (2 * math.sqrt(3.0) * N)
     nu_exact = float(nu_nc_exact(N))

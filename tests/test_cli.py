@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopdens import cli
@@ -188,6 +188,26 @@ def test_simulate_zero_stderr_gives_null_z_and_fails():
         assert (payload[f"z_{kind}"] is None) == (payload[f"stderr_{kind}"] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "t, dof, ok",
+    [
+        (4.0, 7, True),
+        (-4.0, 7, True),
+        (8.0, 7, True),
+        (9.0, 7, False),
+        (-12.0, 7, False),
+        (3.99, 10**6, True),
+        (4.01, 10**6, False),
+    ],
+)
+def test_simulate_gate_compares_the_student_t_tail_with_4_sigma(t, dof, ok):
+    from scipy import stats
+
+    # the reference tail decides on which side of erfc(4 / sqrt 2) t lies
+    assert (2 * stats.t.sf(abs(t), dof) > cli.Z4_TAIL) == ok
+    assert cli._t_within_z4(t, dof) == ok
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
 def test_simulate_bad_loopdens_threads_is_usage_error(threads):
     proc = run_cli_process(SIM_SMALL + ["--replicas", "2"], env={"LOOPDENS_THREADS": threads})
@@ -319,6 +339,17 @@ def test_range_without_even_l_is_usage_error(command, l_range):
     assert "--l-range" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["density", "asymptote"])
+@pytest.mark.parametrize(
+    "l_args", [["--l", "{}"], ["--l-range=2:{}"], ["--l-range=-4:{}"]], ids=["l", "range", "range-from-negative"]
+)
+def test_l_above_the_bound_is_usage_error(command, l_args):
+    argv = [command, *(a.format(cli.DENSITY_MAX_L + 2) for a in l_args)]
+    proc = run_cli_process(argv)
+    assert_contract(proc, EXIT_USAGE)
+    assert f"<= {cli.DENSITY_MAX_L}, got {cli.DENSITY_MAX_L + 2}" in proc.stderr
+
+
 _L_ARGS = st.one_of(
     st.integers(min_value=-4, max_value=10_000).map(lambda l: ["--l", str(l)]),
     st.tuples(
@@ -333,6 +364,8 @@ _L_ARGS = st.one_of(
     fmt=st.sampled_from(["text", "csv", "json"]),
     mode=st.sampled_from(["exact", "float"]),
 )
+@example(l_args=["--l", str(cli.DENSITY_MAX_L + 2)], fmt="json", mode="exact")
+@example(l_args=[f"--l-range=2:{cli.DENSITY_MAX_L + 2}"], fmt="csv", mode="exact")
 def test_density_contract_holds_for_every_argument(l_args, fmt, mode):
     code, out = run_cli(["density", *l_args, "--format", fmt, "--mode", mode])
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
@@ -345,6 +378,8 @@ def test_density_contract_holds_for_every_argument(l_args, fmt, mode):
 
 @settings(max_examples=30, deadline=None)
 @given(l_args=_L_ARGS, order=st.sampled_from(["0", "1", "2"]))
+@example(l_args=["--l", str(cli.DENSITY_MAX_L + 2)], order="0")
+@example(l_args=[f"--l-range=2:{cli.DENSITY_MAX_L + 2}"], order="2")
 def test_asymptote_contract_holds_for_every_argument(l_args, order):
     code, out = run_cli(["asymptote", *l_args, "--order", order])
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)

@@ -20,7 +20,6 @@ from loopdens.fsz import (
     kummer_contiguous,
     kummer_contiguous_numeric,
     kummer_parameter_sweep,
-    legendre_duplication_residual,
     quantity_a,
     quantity_c,
 )
@@ -184,12 +183,3 @@ def test_fq_fp_conjugation_property():
         fq_m, fp_m = fq_fp_closed_eval(n, -1)
         assert fq_m == fq_p.conjugate()
         assert fp_m == fp_p.conjugate()
-
-
-def test_legendre_duplication():
-    import random
-
-    rng = random.Random(6)
-    for _ in range(20):
-        z = rng.uniform(0.05, 10.0)
-        assert legendre_duplication_residual(z) < 1e-12

@@ -1,5 +1,6 @@
 """Monte Carlo sampler: determinism, tracing invariants and statistics."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from loopdens.montecarlo import (
     _sample_tiles,
     run,
     sample_lattice,
-    stats_json,
+    stats_payload,
     walk_tables,
 )
 
@@ -331,8 +332,8 @@ def test_replica_doubling_shrinks_stderr():
 def test_stats_json_deterministic():
     cfg = MCConfig(L=2, H=100, seed=3, replicas=2)
     s = run(cfg)
-    a = stats_json(s, 0.125, 0.125)
-    b = stats_json(run(cfg), 0.125, 0.125)
+    a = json.dumps(stats_payload(s, 0.125, 0.125), indent=2, sort_keys=True)
+    b = json.dumps(stats_payload(run(cfg), 0.125, 0.125), indent=2, sort_keys=True)
     assert a == b
     assert '"z_nu_c"' in a
 

@@ -1,5 +1,6 @@
 """Link-pattern transfer oracle and six-vertex cross-check."""
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -9,14 +10,13 @@ import numpy as np
 import pytest
 
 from loopdens.closed_form import METHOD_TRANSFER_ORACLE, nu_c_exact, nu_nc_exact
+from loopdens import transfer_oracle
 from loopdens.transfer_oracle import (
     ORACLE_MAX_L,
     DegeneratePerronError,
     LinkState,
-    SixVertexWeights,
     _apply_diagram,
     _row_diagrams,
-    _vertex_tensor,
     enumerate_states,
     matrix_json,
     oracle_densities,
@@ -28,10 +28,28 @@ from loopdens.transfer_oracle import (
 )
 
 
-def sixvertex_transfer_dense(L, phi, z=1.0):
-    """Reference builder: the dense 2^L x 2^L six-vertex row transfer matrix,
-    one trace of a product of 2x2 vertex blocks per (beta, alpha) entry."""
-    W = _vertex_tensor(SixVertexWeights.at(L, phi, z))
+def twisted_vertex_tensor(L, phi):
+    """W[v_in, h_in, v_out, h_out] of the six-vertex model at the stochastic
+    point (z = 1, q = exp(i pi / 3)) with the twist spread uniformly over the
+    row: each vertex carries tw^(h_in + h_out - 1), tw = exp(i phi / L).
+    Bits: up/right arrows = 1."""
+    tw = cmath.exp(1j * phi / L)
+    sq = cmath.exp(1j * math.pi / 6)  # q^(1/2)
+    W = np.zeros((2, 2, 2, 2), dtype=complex)
+    W[1, 1, 1, 1] = tw  # a1
+    W[0, 0, 0, 0] = 1 / tw  # a2
+    W[1, 0, 1, 0] = 1 / tw  # b1
+    W[0, 1, 0, 1] = tw  # b2
+    W[1, 1, 0, 0] = sq + 1 / sq  # c1
+    W[0, 0, 1, 1] = sq + 1 / sq  # c2
+    return W
+
+
+def sixvertex_transfer_dense(L, phi):
+    """Reference builder: the dense 2^L x 2^L twisted six-vertex row transfer
+    matrix, one trace of a product of 2x2 vertex blocks per (beta, alpha)
+    entry."""
+    W = twisted_vertex_tensor(L, phi)
     dim = 2**L
     T = np.zeros((dim, dim), dtype=complex)
     blocks = [[W[a, :, b, :] for b in range(2)] for a in range(2)]
@@ -104,8 +122,14 @@ def test_transfer_matrix_l2_explicit():
     tm = row_transfer_matrix(2)
     # basis sorted: chord parity 0 then parity 1
     assert tm.counts == ((1, 3), (3, 1))
-    assert tm.d_w == ((0, 1), (1, 0))
-    assert tm.d_v == ((1, 0), (0, 1))
+    assert tm.cells == {
+        (0, 0): {(0, 1): 1},
+        (1, 0): {(0, 0): 2, (1, 0): 1},
+        (0, 1): {(0, 0): 2, (1, 0): 1},
+        (1, 1): {(0, 1): 1},
+    }
+    assert tm.loops_c == (1, 1)
+    assert tm.loops_nc == (1, 1)
 
 
 def test_perron_eigenvalue_and_vectors():
@@ -190,25 +214,30 @@ def test_combined_fugacity_derivative():
     # setting w = v and differentiating counts every closure once
     tm = row_transfer_matrix(4)
     left, right = perron_eigenvectors(tm)
-    n = len(tm.states)
     lam = Fraction(2**4)
-    overlap = sum(left[i] * right[i] for i in range(n))
+    overlap = sum(x * y for x, y in zip(left, right))
     total = sum(
-        left[i] * (tm.d_w[i][j] + tm.d_v[i][j]) * right[j]
-        for i in range(n)
-        for j in range(n)
+        left[i] * (k[0] + k[1]) * c * right[j]
+        for (i, j), cell in tm.cells.items()
+        for k, c in cell.items()
     )
     assert total / (lam * overlap * 4) == nu_c_exact(2) + nu_nc_exact(2)
 
 
 def test_fugacity_entries_consistent_with_derivatives():
-    tm = row_transfer_matrix(4)
-    n = len(tm.states)
-    for i, j in itertools.product(range(n), repeat=2):
-        cell = tm.fugacity[i][j]
-        assert tm.counts[i][j] == sum(cell.values())
-        assert tm.d_w[i][j] == sum(k[0] * c for k, c in cell.items())
-        assert tm.d_v[i][j] == sum(k[1] * c for k, c in cell.items())
+    for L in (2, 4, 6):
+        tm = row_transfer_matrix(L)
+        n = len(tm.states)
+        loops_c, loops_nc = [0] * n, [0] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            cell = tm.cells.get((i, j), {})
+            assert tm.counts[i][j] == sum(cell.values())
+            assert all(c > 0 for c in cell.values())
+            loops_c[j] += sum(k[0] * c for k, c in cell.items())
+            loops_nc[j] += sum(k[1] * c for k, c in cell.items())
+        assert tuple(loops_c) == tm.loops_c
+        assert tuple(loops_nc) == tm.loops_nc
+        assert len(tm.cells) == sum(1 for row in tm.counts for x in row if x)
 
 
 def test_matrix_json_shape():
@@ -218,6 +247,9 @@ def test_matrix_json_shape():
     assert len(payload["states"]) == 2
     total = sum(w["count"] for e in payload["entries"] for w in e["weights"])
     assert total == 2 * 2**2
+    # one entry per non-zero cell, in (to, from) order
+    entries = [(e["to"], e["from"]) for e in matrix_json(6)["entries"]]
+    assert entries == sorted(row_transfer_matrix(6).cells)
 
 
 def test_size_guards():
@@ -257,37 +289,65 @@ def test_sixvertex_delta_guard():
 
 
 def test_sixvertex_weight_structure_at_stochastic_point():
-    import math
-
-    from loopdens.transfer_oracle import SixVertexWeights
-
-    w = SixVertexWeights.at(L=4, phi=math.pi / 3, z=1.0)
-    assert abs(w.a1 - w.a2.conjugate()) < 1e-15
-    assert abs(w.b1 - w.b2.conjugate()) < 1e-15
-    assert abs(w.c1 - w.c2) < 1e-15
-    assert abs(w.c1.imag) < 1e-15
-    assert w.c1.real == pytest.approx(math.sqrt(3.0))
+    # the reference weights the seam gauge rests on: the twist pairs a1 with
+    # a2 and b1 with b2 as conjugates, and c1 = c2 = sqrt(3) carry no twist
+    W = twisted_vertex_tensor(L=4, phi=math.pi / 3)
+    assert abs(W[1, 1, 1, 1] - W[0, 0, 0, 0].conjugate()) < 1e-15
+    assert abs(W[1, 0, 1, 0] - W[0, 1, 0, 1].conjugate()) < 1e-15
+    assert abs(W[1, 1, 0, 0] - W[0, 0, 1, 1]) < 1e-15
+    assert abs(W[1, 1, 0, 0].imag) < 1e-15
+    assert W[1, 1, 0, 0].real == pytest.approx(math.sqrt(3.0))
 
 
-@pytest.mark.parametrize("L", [2, 4, 6])
-@pytest.mark.parametrize("phi, z", [(math.pi / 3, 1.0), (0.7, 1.3 + 0.2j)])
-def test_sixvertex_blocks_match_dense_reference(L, phi, z):
-    dense = sixvertex_transfer_dense(L, phi, z)
-    blocks = sixvertex_transfer(L, phi, z)
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_sixvertex_blocks_are_integer_pairs_on_the_sectors(L):
+    blocks = sixvertex_transfer(L)
     sectors = sector_states(L)
     assert len(blocks) == L + 1
     assert [len(s) for s in sectors] == [math.comb(L, k) for k in range(L + 1)]
-    for block, states in zip(blocks, sectors):
-        assert block.shape == (len(states), len(states))
-        assert np.max(np.abs(block - dense[np.ix_(states, states)])) <= 1e-12
+    for k, (a0, a1) in enumerate(blocks):
+        for a in (a0, a1):
+            assert np.issubdtype(a.dtype, np.integer)
+            assert a.shape == (math.comb(L, k), math.comb(L, k))
+            assert a.min() >= 0
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+@pytest.mark.parametrize("phi", [math.pi / 3, 0.7, -0.3])
+def test_sixvertex_blocks_match_dense_reference(L, phi):
+    dense = sixvertex_transfer_dense(L, phi)
+    blocks = sixvertex_transfer(L)
     # arrow conservation: the reference has no entry between sectors
     ups = np.array([bin(x).count("1") for x in range(2**L)])
     assert np.all(dense[ups[:, None] != ups[None, :]] == 0)
+    # each reference block is D^-1 (exp(-i phi) A0 + exp(i phi) A1) D with
+    # D[alpha] = exp(-2i phi / L * sum_j (L - 1 - j) alpha_j), since the
+    # horizontal edges follow h_(j+1) = h_j + beta_j - alpha_j
+    u = cmath.exp(1j * phi)
+    for (a0, a1), states in zip(blocks, sector_states(L)):
+        bits = (states[:, None] >> np.arange(L)) & 1
+        d = np.exp(-2j * phi / L * (bits @ np.arange(L - 1, -1, -1)))
+        gauged = (a0 / u + a1 * u) * d[None, :] / d[:, None]
+        assert np.max(np.abs(gauged - dense[np.ix_(states, states)])) <= 1e-12
     # the union of the block spectra is the dense spectrum
-    remaining = list(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
+    remaining = list(np.concatenate([np.linalg.eigvals(a0 / u + a1 * u) for a0, a1 in blocks]))
     dense_eigs = np.linalg.eigvals(dense)
     tol = 1e-9 * np.max(np.abs(dense_eigs))
     for e in dense_eigs:
         k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - e))
         assert abs(remaining.pop(k) - e) <= tol
     assert remaining == []
+
+
+def test_sixvertex_check_builds_the_blocks_once(monkeypatch):
+    calls = []
+    build = transfer_oracle.sixvertex_transfer
+
+    def counted(L):
+        calls.append(L)
+        return build(L)
+
+    monkeypatch.setattr(transfer_oracle, "sixvertex_transfer", counted)
+    rep = sixvertex_check(6, 1e-4)
+    assert calls == [6]
+    assert rep.lambda_rel_error < 1e-9
