@@ -17,6 +17,7 @@ from .closed_form import (
 )
 from .cyclotomic import Cyclotomic, CycPoly, Rational, gamma_ratio, pochhammer
 from .fsz import (
+    KUMMER_SHIFTS,
     DerivativeBundle,
     FszSolution,
     bethe_residual,
@@ -47,6 +48,7 @@ __all__ = [
     "DensityRecord",
     "DerivativeBundle",
     "FszSolution",
+    "KUMMER_SHIFTS",
     "LinkState",
     "LoopCensus",
     "MCConfig",

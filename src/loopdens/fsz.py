@@ -82,43 +82,43 @@ class DerivativeBundle:
     nu_nc: Rational
 
 
-def hyp2f1_terminating(a, b, c, t) -> Cyclotomic:
-    """2F1(a, b; c; t) for nonpositive-integer b, summed exactly.
+def _series_coeffs(a, b, c) -> list[Fraction]:
+    """The t^k coefficients (a)_k (b)_k / ((c)_k k!), k = 0..-b, of 2F1(a, b; c; t).
 
-    The series has -b + 1 terms.  Raises GammaPoleError if (c)_k vanishes
-    before the series terminates.
+    Raises ValueError unless b is a nonpositive integer (the series terminates),
+    and GammaPoleError if (c)_k vanishes before it does.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    c = Fraction(c)
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if not is_nonpositive_integer(b):
         raise ValueError(f"series does not terminate: b = {b}")
-    if not isinstance(t, Cyclotomic):
-        t = Fraction(t)  # a rational series stays in Q until the end
-    kmax = int(-b)
-    total = term = Fraction(1)
-    for k in range(kmax):
+    coeffs = [Fraction(1)]
+    for k in range(int(-b)):
         if c + k == 0:
             raise GammaPoleError(f"(c)_k vanished at c = {c}, k = {k + 1}")
-        term = term * (t * ((a + k) * (b + k) / ((c + k) * (k + 1))))
-        total = total + term
+        coeffs.append(coeffs[-1] * ((a + k) * (b + k) / ((c + k) * (k + 1))))
+    return coeffs
+
+
+def hyp2f1_terminating(a, b, c, t) -> Cyclotomic:
+    """2F1(a, b; c; t) for nonpositive-integer b, summed exactly by Horner's rule.
+
+    The series has -b + 1 terms.  Refuses what _series_coeffs refuses.
+    """
+    coeffs = _series_coeffs(a, b, c)
+    if not isinstance(t, Cyclotomic):
+        t = Fraction(t)  # a rational series stays in Q until the end
+    total = Fraction(0)
+    for coef in reversed(coeffs):
+        total = total * t + coef
     return total if isinstance(total, Cyclotomic) else Cyclotomic(total)
 
 
 def _series_poly_in_x(a: Fraction, b: Fraction, c: Fraction) -> CycPoly:
     """Terminating 2F1(a, b; c; -x^3) expanded as a polynomial in x."""
-    if not is_nonpositive_integer(b):
-        raise ValueError(f"series does not terminate: b = {b}")
-    kmax = int(-b)
-    coeffs = [Fraction(0)] * (3 * kmax + 1)
-    coef = Fraction(1)
-    coeffs[0] = coef
-    for k in range(kmax):
-        if c + k == 0:
-            raise GammaPoleError(f"(c)_k vanished at c = {c}, k = {k + 1}")
-        coef *= Fraction(-(a + k) * (b + k), (c + k) * (k + 1))
-        coeffs[3 * (k + 1)] = coef
-    return CycPoly(coeffs)
+    coeffs = []
+    for k, coef in enumerate(_series_coeffs(a, b, c)):
+        coeffs += [-coef if k % 2 else coef, 0, 0]
+    return CycPoly(coeffs[:-2])
 
 
 def build_fsz(N: int) -> FszSolution:
@@ -392,80 +392,69 @@ def bethe_residual(sol: FszSolution, dps: int = 60) -> float:
 
 # -- contiguous Kummer evaluations --------------------------------------------
 
+# The shifts n of 2F1(a, b; 1+a-b+n; -1) that both gamma-ratio routes return,
+# in this order.  With B = 1-b and h_k = a/2 + k/2, the form for n >= 0 is
+#   Gamma(a+B+n) Gamma(B) / (2 Gamma(a) Gamma(B+n)) * sum_k (-1)^k C(n,k) Gamma(h_k) / Gamma(h_k+B)
+# and its companion for n < 0 is
+#   Gamma(a+B+n) / (2 Gamma(a)) * sum_k C(-n,k) Gamma(h_k) / Gamma(h_k+B+n).
+KUMMER_SHIFTS = (-2, -1, 0, 1, 2)
+
 
 def hyp2f1_at_minus_one(a, b, c) -> Fraction:
     """Brute-force terminating 2F1(a, b; c; -1) as an exact rational."""
-    val = hyp2f1_terminating(a, b, c, Fraction(-1))
-    return val.as_rational()
+    coeffs = _series_coeffs(a, b, c)
+    return sum(coeffs[::2]) - sum(coeffs[1::2])
 
 
-def kummer_contiguous(a, b, n: int) -> Fraction:
-    """Gamma-ratio evaluation of 2F1(a, b; 1+a-b+n; -1), exact.
+def kummer_contiguous(a, b) -> tuple[Fraction, ...]:
+    """The gamma-ratio forms of 2F1(a, b; 1+a-b+n; -1), exact, n in KUMMER_SHIFTS.
 
-    n >= 0 uses the identity with c = 1+a-b+n,
-    n < 0 the companion identity with c = 1+a-b-|n|.
-    Requires integer b (so every gamma ratio pairs into a rational); the
-    terminating-series comparison additionally needs b <= 0.
+    Each Gamma(x+B+s)/Gamma(x), s = -2..2, is read off one running product per
+    base x.  Requires integer b (so every gamma ratio pairs into a rational);
+    the terminating-series comparison additionally needs b <= 0.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    if not (-2 <= n <= 2):
-        raise ValueError(f"shift n must lie in [-2, 2], got {n}")
+    a, b = Fraction(a), Fraction(b)
     if b.denominator != 1:
         raise ValueError("exact evaluation needs integer b")
-    if n >= 0:
-        # prefactor Gamma(1+a-b+n) Gamma(1-b) / (2 Gamma(a) Gamma(1-b+n))
-        pref = gamma_ratio(a, int(1 - b) + n) / (2 * pochhammer(1 - b, n))
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += (
-                Fraction((-1) ** k * math.comb(n, k))
-                / gamma_ratio(a / 2 + Fraction(k, 2), int(1 - b))
-            )
-        return pref * total
-    m = -n
-    # prefactor Gamma(1+a-b-m) / (2 Gamma(a))
-    pref = gamma_ratio(a, int(1 - b) - m) / 2
-    total = Fraction(0)
-    for k in range(m + 1):
-        total += Fraction(math.comb(m, k)) / gamma_ratio(a / 2 + Fraction(k, 2), int(1 - b) - m)
-    return pref * total
+    B = int(1 - b)
+    runs = []  # [x][s + 2] = Gamma(x+B+s)/Gamma(x) for x = a, h_0, h_1, h_2
+    for x in (a, a / 2, a / 2 + Fraction(1, 2), a / 2 + 1):
+        # gamma_ratio refuses a pole at x or x+B-2, so at every x+B+s
+        run = [gamma_ratio(x, B - 2)]
+        for s in range(B - 2, B + 2):
+            run.append(run[-1] * (x + s))
+        runs.append(run)
+    ga, *gh = runs
+    values = []
+    for n in KUMMER_SHIFTS:
+        sign, m = -1 if n > 0 else 1, min(n, 0)
+        total = sum(sign**k * math.comb(abs(n), k) / gh[k][m + 2] for k in range(abs(n) + 1))
+        values.append(ga[n + 2] / (2 * (1, B, B * (B + 1))[n - m]) * total)
+    return tuple(values)
 
 
-def kummer_contiguous_numeric(a, b, n: int, dps: int = 40) -> float:
-    """Same gamma-ratio sums evaluated with high-precision Gamma functions."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if not (-2 <= n <= 2):
-        raise ValueError(f"shift n must lie in [-2, 2], got {n}")
-    with mp.workdps(dps):
-        aa = mp.mpf(a.numerator) / a.denominator
-        bb = mp.mpf(b.numerator) / b.denominator
-        if n >= 0:
-            pref = (
-                mp.gamma(1 + aa - bb + n)
-                * mp.gamma(1 - bb)
-                / (2 * mp.gamma(aa) * mp.gamma(1 - bb + n))
+def kummer_contiguous_numeric(a, b) -> tuple[float, ...]:
+    """The same forms in mpmath at 40 digits, one mp.gamma call per distinct argument."""
+    a, b = Fraction(a), Fraction(b)
+    with mp.workdps(40):
+        gammas = {}
+
+        def gamma(x: Fraction):
+            if x not in gammas:
+                gammas[x] = mp.gamma(mp.mpf(x.numerator) / x.denominator)
+            return gammas[x]
+
+        values = []
+        for n in KUMMER_SHIFTS:
+            sign, m = -1 if n > 0 else 1, min(n, 0)
+            pref = gamma(1 + a - b + n) * gamma(1 - b) / (2 * gamma(a) * gamma(1 - b + n - m))
+            halves = [a / 2 + Fraction(k, 2) for k in range(abs(n) + 1)]
+            total = sum(
+                sign**k * math.comb(abs(n), k) * gamma(h) / gamma(h - b + 1 + m)
+                for k, h in enumerate(halves)
             )
-            total = mp.mpf(0)
-            for k in range(n + 1):
-                total += (
-                    (-1) ** k
-                    * mp.binomial(n, k)
-                    * mp.gamma(aa / 2 + mp.mpf(k) / 2)
-                    / mp.gamma(aa / 2 + mp.mpf(k) / 2 - bb + 1)
-                )
-            return float(pref * total)
-        m = -n
-        pref = mp.gamma(1 + aa - bb - m) / (2 * mp.gamma(aa))
-        total = mp.mpf(0)
-        for k in range(m + 1):
-            total += (
-                mp.binomial(m, k)
-                * mp.gamma(aa / 2 + mp.mpf(k) / 2)
-                / mp.gamma(aa / 2 + mp.mpf(k) / 2 - bb + 1 - m)
-            )
-        return float(pref * total)
+            values.append(float(pref * total))
+    return tuple(values)
 
 
 def kummer_parameter_sweep(n_max: int):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopdens import cli
+from loopdens import cli, cyclotomic, fsz, tq_identities, transfer_oracle
 from loopdens.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from loopdens.fsz import KUMMER_SHIFTS, kummer_parameter_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,6 +86,64 @@ def test_verify_all_is_tq_then_fsz_then_kummer():
     code, out = run_cli(["verify", "all", "--n-max", "3", "--format", "json"])
     assert code == EXIT_OK
     assert json.loads(out) == expected
+
+
+def test_kummer_rows_run_each_route_once_per_distinct_pair(monkeypatch):
+    calls = {"exact": [], "numeric": [], "series": []}
+
+    def counted(name, route):
+        def wrapper(*args):
+            calls[name].append(args)
+            return route(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "kummer_contiguous", counted("exact", cli.kummer_contiguous))
+    monkeypatch.setattr(cli, "kummer_contiguous_numeric", counted("numeric", cli.kummer_contiguous_numeric))
+    monkeypatch.setattr(cli, "hyp2f1_at_minus_one", counted("series", cli.hyp2f1_at_minus_one))
+    rows = cli._kummer_rows(6)
+    assert len(rows) == 2 * 6 and all(rows)
+    pairs = {(a, b) for _, a, b in kummer_parameter_sweep(6)}
+    assert len(pairs) < len(kummer_parameter_sweep(6))
+    for name in ("exact", "numeric"):
+        assert len(calls[name]) == len(pairs) and set(calls[name]) == pairs
+    series = {(a, b, 1 + a - b + n) for a, b in pairs for n in KUMMER_SHIFTS}
+    assert len(calls["series"]) == len(series) and set(calls["series"]) == series
+
+
+COMPUTATION_ERRORS = [
+    fsz.RouteMismatchError,
+    fsz.RootConvergenceError,
+    transfer_oracle.DegeneratePerronError,
+    cyclotomic.NotDivisibleError,
+    cyclotomic.GammaPoleError,
+]
+
+
+def _raise(error):
+    def broken(*args):
+        raise error("injected failure")
+
+    return broken
+
+
+@pytest.mark.parametrize("error", COMPUTATION_ERRORS, ids=lambda e: e.__name__)
+def test_verify_computation_error_exits_1_with_one_stderr_line(monkeypatch, capsys, error):
+    monkeypatch.setattr(tq_identities, "build_fsz", _raise(error))
+    code = main(["verify", "all", "--n-max", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err == f"error: {error.__name__}: injected failure\n"
+
+
+def test_oracle_degenerate_perron_exits_1_with_one_stderr_line(monkeypatch, capsys):
+    monkeypatch.setattr(transfer_oracle, "perron_eigenvectors", _raise(transfer_oracle.DegeneratePerronError))
+    code = main(["oracle", "--l", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err == "error: DegeneratePerronError: injected failure\n"
 
 
 def test_oracle_match_and_guard(tmp_path):

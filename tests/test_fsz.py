@@ -4,11 +4,15 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopdens.closed_form import nu_c_exact, nu_nc_exact
-from loopdens.cyclotomic import Cyclotomic, CycPoly, ONE, q_power
+from loopdens.cyclotomic import Cyclotomic, CycPoly, GammaPoleError, ONE, q_power
 from loopdens.fsz import (
+    KUMMER_SHIFTS,
     RouteMismatchError,
+    _series_poly_in_x,
     a_f_form_matches,
     bethe_residual,
     build_fsz,
@@ -145,27 +149,69 @@ def test_bethe_root_n1_is_half():
     assert sol.q_poly(Cyclotomic(Fraction(1, 2))).is_zero()
 
 
+def test_one_series_serves_the_sum_and_the_polynomial():
+    a, b, c = Fraction(-11, 3), Fraction(-4), Fraction(2, 3)
+    x = q_power(1) + 2
+    assert _series_poly_in_x(a, b, c)(x) == hyp2f1_terminating(a, b, c, -(x * x * x))
+    assert hyp2f1_terminating(a, b, c, -1) == Cyclotomic(hyp2f1_at_minus_one(a, b, c))
+    with pytest.raises(GammaPoleError):
+        _series_poly_in_x(a, b, Fraction(-1))
+    with pytest.raises(ValueError):
+        hyp2f1_at_minus_one(a, Fraction(1, 2), c)
+
+
 def test_kummer_n0_matches_series():
     a, b = Fraction(-2, 3), Fraction(-1)
     series = hyp2f1_at_minus_one(a, b, 1 + a - b)
-    assert kummer_contiguous(a, b, 0) == series
-    assert abs(kummer_contiguous_numeric(a, b, 0) - float(series)) < 1e-12
+    n0 = KUMMER_SHIFTS.index(0)
+    assert kummer_contiguous(a, b)[n0] == series
+    assert abs(kummer_contiguous_numeric(a, b)[n0] - float(series)) < 1e-12
+
+
+def _assert_kummer_routes_match_series(a, b):
+    exact = kummer_contiguous(a, b)
+    numeric = kummer_contiguous_numeric(a, b)
+    assert len(exact) == len(numeric) == len(KUMMER_SHIFTS) == 5
+    for n, e, num in zip(KUMMER_SHIFTS, exact, numeric):
+        series = hyp2f1_at_minus_one(a, b, 1 + a - b + n)
+        assert e == series, (a, b, n)
+        assert abs(num - float(series)) <= 1e-12 * max(1.0, abs(float(series))), (a, b, n)
 
 
 def test_kummer_sweep_exact_and_numeric():
-    for N, a, b in kummer_parameter_sweep(8):
-        for n in (0, 1, 2, -1, -2):
-            series = hyp2f1_at_minus_one(a, b, 1 + a - b + n)
-            assert kummer_contiguous(a, b, n) == series, (N, a, b, n)
-            num = kummer_contiguous_numeric(a, b, n)
-            assert abs(num - float(series)) <= 1e-12 * max(1.0, abs(float(series)))
+    for _, a, b in kummer_parameter_sweep(8):
+        _assert_kummer_routes_match_series(a, b)
+
+
+_SWEEP_PAIRS = {(a, b) for _, a, b in kummer_parameter_sweep(25)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(
+        st.integers(min_value=-60, max_value=60).filter(lambda p: p % 3).map(lambda p: Fraction(p, 3)),
+        st.integers(min_value=-15, max_value=0).map(Fraction),
+    ).filter(lambda pair: pair not in _SWEEP_PAIRS)
+)
+def test_kummer_routes_match_series_off_the_sweep(pair):
+    a, b = pair
+    _assert_kummer_routes_match_series(a, b)
+    with pytest.raises(ValueError):
+        kummer_contiguous(a, b - Fraction(1, 2))
+    with pytest.raises(ValueError):
+        hyp2f1_at_minus_one(a, b - Fraction(1, 2), 1 + a - b)
+
+
+@given(a=st.integers(min_value=-12, max_value=0), b=st.integers(min_value=-6, max_value=0))
+@settings(max_examples=20, deadline=None)
+def test_kummer_running_products_keep_the_pole_refusal(a, b):
+    with pytest.raises(GammaPoleError):
+        kummer_contiguous(a, b)
 
 
 def test_kummer_shift_validation():
     with pytest.raises(ValueError):
-        kummer_contiguous(Fraction(1, 3), Fraction(-2), 3)
-    with pytest.raises(ValueError):
-        kummer_contiguous(Fraction(1, 3), Fraction(1, 2), 1)
+        kummer_contiguous(Fraction(1, 3), Fraction(1, 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
