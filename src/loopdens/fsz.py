@@ -411,12 +411,15 @@ def kummer_contiguous(a, b) -> tuple[Fraction, ...]:
 
     Each Gamma(x+B+s)/Gamma(x), s = -2..2, is read off one running product per
     base x.  Requires integer b (so every gamma ratio pairs into a rational);
-    the terminating-series comparison additionally needs b <= 0.
+    the terminating-series comparison additionally needs b <= 0.  Raises
+    GammaPoleError, as the numeric route does, for a pole at a or at 1-b.
     """
     a, b = Fraction(a), Fraction(b)
     if b.denominator != 1:
         raise ValueError("exact evaluation needs integer b")
     B = int(1 - b)
+    if B <= 0:
+        raise GammaPoleError(f"Gamma({B}) pole")
     runs = []  # [x][s + 2] = Gamma(x+B+s)/Gamma(x) for x = a, h_0, h_1, h_2
     for x in (a, a / 2, a / 2 + Fraction(1, 2), a / 2 + 1):
         # gamma_ratio refuses a pole at x or x+B-2, so at every x+B+s
@@ -434,13 +437,18 @@ def kummer_contiguous(a, b) -> tuple[Fraction, ...]:
 
 
 def kummer_contiguous_numeric(a, b) -> tuple[float, ...]:
-    """The same forms in mpmath at 40 digits, one mp.gamma call per distinct argument."""
+    """The same forms in mpmath at 40 digits, one mp.gamma call per distinct argument.
+
+    Every gamma pole raises GammaPoleError, as in the exact route.
+    """
     a, b = Fraction(a), Fraction(b)
     with mp.workdps(40):
         gammas = {}
 
         def gamma(x: Fraction):
             if x not in gammas:
+                if is_nonpositive_integer(x):
+                    raise GammaPoleError(f"Gamma({x}) pole")
                 gammas[x] = mp.gamma(mp.mpf(x.numerator) / x.denominator)
             return gammas[x]
 

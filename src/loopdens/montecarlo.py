@@ -3,18 +3,31 @@
 Every vertex of the square lattice independently takes one of the two
 unit-weight tiles with probability 1/2.  Tiles route the four incident bond
 ends pairwise, so the whole configuration decomposes into loops that cover
-every bond exactly once.  The walk table sends each directed state (a site
-and the side it is entered from) to the next one along its loop; it is a
-permutation whose cycles are the loops, each once per orientation.  The
-census labels those cycles in one C pass (scipy's strongly connected
-components), sums each cycle's signed seam crossings with ``np.bincount``
-and halves the class counts.  Each loop is classified by its winding numbers
-around the two cycles of the torus:
+every bond exactly once.  Both tiles respect the checkerboard orientation of
+the medial lattice (the one of the six-vertex mapping, Baxter, Kelland and
+Wu 1976): a site with x+y even is entered from W or E and left N or S, a
+site with x+y odd is entered from S or N and left E or W.  So every loop
+carries one orientation, and the walk needs one state per bond: a site and
+which of its two entry sides.  The walk table sends each state to the next
+one along its loop; it is a permutation whose cycles are the loops, each
+exactly once.  The census labels those cycles in one C pass (scipy's
+strongly connected components) and counts each cycle's signed seam
+crossings with ``np.bincount``.  Each loop is classified by its winding
+numbers around the two cycles of the torus:
 
 * vertical winding != 0    -> torus artifact, counted separately and excluded
   from both densities (exponentially rare for H >> L),
 * else horizontal winding != 0 -> non-contractible (winds the circumference),
 * both zero                -> contractible.
+
+At odd H the checkerboard does not close across the y-seam, so the census
+walks the double cover instead: the tiles stacked twice, height 2H.  A loop
+of the torus with windings (p, q) lifts to two loops with windings
+(p, q/2) if q is even, and to one loop with windings (2p, q) if q is odd.
+But every tile pairs a horizontal with a vertical bond end, so a loop makes
+as many horizontal as vertical steps, and L*p and H*q have the same parity:
+with L even and H odd, q is even.  So every loop, vertical ones included,
+lifts to exactly two cycles, and each class count of the cover is halved.
 
 Tile streams come from counter-based Philox generators keyed by
 (seed, replica), so every census is bit-identical regardless of scheduling.
@@ -29,17 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# directed walker state at a site: entry side 0 = from west (moving E),
-# 1 = from east, 2 = from south (moving N), 3 = from north.
-# exit sides encoded N=0, S=1, E=2, W=3.
-# tile 0 pairs (W,N)(S,E); tile 1 pairs (W,S)(N,E).
-_EXIT_SIDE = np.array([[0, 1, 2, 3], [1, 0, 3, 2]], dtype=np.int32)
-_EXIT_DX = np.array([0, 0, 1, -1], dtype=np.int32)
-_EXIT_DY = np.array([1, -1, 0, 0], dtype=np.int32)
-_EXIT_ENTRY = np.array([2, 3, 0, 1], dtype=np.int32)
-
-# bound on the 2*L*H bonds: the 4*L*H directed states are indexed in int32,
-# which the cycle labelling needs, and this keeps them far inside it
+# bound on the 2*L*H bonds: the walk states (one per bond, two per bond at
+# odd H, where the double cover is walked) are indexed in int32, which the
+# cycle labelling needs, and this keeps them far inside it
 _MAX_BONDS = 1 << 27
 
 
@@ -60,7 +65,7 @@ class MCConfig:
         if 2 * self.L * self.H >= _MAX_BONDS:
             raise ValueError(
                 f"lattice too large: 2*L*H = {2 * self.L * self.H} must be < 2^27 "
-                "for int32 state indices"
+                "for int32 indices of the 2*L*H walk states (4*L*H at odd H)"
             )
 
 
@@ -101,38 +106,55 @@ class MCStats:
     n_loops: int
 
 
+def _covers(H: int) -> int:
+    """Copies of the tiles that the walk stacks: two at odd H, where the
+    checkerboard orientation only closes on the double cover."""
+    return 1 + H % 2
+
+
 @lru_cache(maxsize=8)
 def _static_tables(L: int, H: int):
-    """Tile-independent routing data for an L x H torus.
+    """Tile-independent walk data for an L x H torus, on its double cover
+    (height 2H) when H is odd.
 
-    Returns ``(succ, seam_states, seam_dx, seam_dy)``.  ``succ[tile]`` is the
-    int32 successor of every state s = 4*(y*L + x) + entry under that tile
-    type.  The seam arrays list the states a walk enters by crossing a seam,
-    with the signed crossing in x and in y (int8): entering column 0 from the
-    west crosses the seam between x = L-1 and 0 eastwards, entering column
-    L-1 from the east crosses it westwards, and likewise for rows 0 and H-1.
-    So the crossings belong to the entered state and do not depend on the
-    tiles.  Winding numbers equal the signed seam crossings of a loop.
+    Returns ``(ids, target, x_seam, y_seam)``.  A state is s = 2*site + b on
+    the walked lattice, site = y*L + x, with entry bit b: from W (0) or E (1)
+    at x+y even, from S (0) or N (1) at x+y odd.  ``target[2*site + c]`` is
+    the state entered on leaving the site by exit c: N (0) or S (1) at x+y
+    even, E (0) or W (1) at x+y odd.  Each tile t sends entry bit b to exit
+    b ^ t (tile 0 pairs (W,N)(S,E), tile 1 pairs (W,S)(N,E)), and the bit is
+    kept across the bond, so the successor of s is ``target[s ^ t]``.
+    ``ids`` is range(n + 1) over the n states, int32: its first n entries
+    index the states, one row per copy of the tiles, and all n + 1 are the
+    row pointers of the one-edge-per-state graph.
+
+    ``x_seam`` and ``y_seam`` are (forward, backward) pairs of the states
+    that a step enters by crossing that seam, forwards (+1) or backwards
+    (-1).  The orientation fixes each bond's direction: the x-seam is
+    crossed eastwards into column 0 at even y and westwards into column L-1
+    at odd y, the y-seam northwards into row 0 at odd x and southwards into
+    the top row at even x.  So the crossings do not depend on the tiles, and
+    the winding numbers of a loop are its signed seam crossings.
     """
-    d = np.arange(4, dtype=np.int32)[None, None, :]
+    h = _covers(H) * H  # even, so the rows come in (even y, odd y) pairs
+    n = 2 * L * h
+    y = np.arange(2, dtype=np.int32)[:, None, None]
     x = np.arange(L, dtype=np.int32)[None, :, None]
-    y = np.arange(H, dtype=np.int32)[:, None, None]
-    succ = np.empty((2, 4 * L * H), dtype=np.int32)
-    for tile in (0, 1):
-        e = _EXIT_SIDE[tile][d]
-        site = ((y + _EXIT_DY[e]) % H) * L + (x + _EXIT_DX[e]) % L
-        succ[tile] = (4 * site + _EXIT_ENTRY[e]).reshape(-1)
-    xs, ys = x.reshape(-1), y.reshape(-1)
-    seam_states = np.concatenate(
-        [4 * L * ys, 4 * (L * ys + L - 1) + 1, 4 * xs + 2, 4 * (L * (H - 1) + xs) + 3]
-    )
-    sizes = [H, H, L, L]
-    seam_dx = np.repeat(np.array([1, -1, 0, 0], dtype=np.int8), sizes)
-    seam_dy = np.repeat(np.array([0, 0, 1, -1], dtype=np.int8), sizes)
-    tables = (succ, seam_states, seam_dx, seam_dy)
-    for a in tables:  # cached and shared by every replica
+    exit_bit = np.arange(2, dtype=np.int32)
+    step = 1 - 2 * exit_bit  # exit 0 steps up in y or x, exit 1 down
+    odd = (x + y) % 2
+    # targets of one row pair, relative to its first state; every pair
+    # repeats them, and the mod n wraps the y-seam
+    pair = 2 * ((y + step * (1 - odd)) * L + (x + step * odd) % L) + exit_bit
+    target = (np.arange(0, n, 4 * L, dtype=np.int32)[:, None] + pair.reshape(-1)).reshape(-1) % n
+    ids = np.arange(n + 1, dtype=np.int32)
+    ys = np.arange(0, h, 2, dtype=np.int32)
+    xs = np.arange(0, L, 2, dtype=np.int32)
+    x_seam = (2 * L * ys, 2 * (L * (ys + 1) + L - 1) + 1)
+    y_seam = (2 * (xs + 1), 2 * (L * (h - 1) + xs) + 1)
+    for a in (ids, target, *x_seam, *y_seam):  # cached and shared by every replica
         a.flags.writeable = False
-    return tables
+    return ids, target, x_seam, y_seam
 
 
 def _sample_tiles(cfg: MCConfig, replica_index: int) -> np.ndarray:
@@ -142,10 +164,12 @@ def _sample_tiles(cfg: MCConfig, replica_index: int) -> np.ndarray:
 
 
 def walk_tables(cfg: MCConfig, tiles: np.ndarray) -> np.ndarray:
-    """The int32 successor of every directed state for one tile configuration."""
-    succ = _static_tables(cfg.L, cfg.H)[0]
-    nxt = np.where(np.repeat(tiles.reshape(-1) == 0, 4), succ[0], succ[1])
-    # the directed-edge map must be a permutation or the cycles are not loops
+    """The int32 successor of every oriented state for one tile configuration,
+    on the double cover at odd H."""
+    ids, target, _, _ = _static_tables(cfg.L, cfg.H)
+    states = ids[:-1].reshape(_covers(cfg.H), -1)
+    nxt = target[states ^ np.repeat(tiles.reshape(-1), 2)].reshape(-1)
+    # the state map must be a permutation or the cycles are not loops
     hit = np.zeros(nxt.size, dtype=bool)
     hit[nxt] = True
     if not hit.all():
@@ -156,39 +180,45 @@ def walk_tables(cfg: MCConfig, tiles: np.ndarray) -> np.ndarray:
 def _loop_counts(cfg: MCConfig, tiles: np.ndarray) -> tuple[int, int, int, int]:
     """(contractible, non-contractible, vertically winding, all) loop counts.
 
-    The cycles of the permutation ``walk_tables(cfg, tiles)`` are the directed
-    loops: every loop is two cycles, one per orientation, with opposite
-    windings.  They are labelled as the strongly connected components of the
-    graph s -> nxt[s], their seam crossings are summed per label, and each
-    class count is halved.
+    The cycles of the permutation ``walk_tables(cfg, tiles)`` are the loops,
+    or at odd H their lifts to the double cover.  They are labelled as the
+    strongly connected components of the graph s -> nxt[s], and each label's
+    windings are its forward minus its backward seam crossings.  At odd H
+    every loop has two lifts (see the module docstring), so each class count
+    must be even and is halved.
     """
     # imported here, not at module level, so that `import loopdens` stays light
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     nxt = walk_tables(cfg, tiles)
-    _, seam_states, seam_dx, seam_dy = _static_tables(cfg.L, cfg.H)
+    ids, _, x_seam, y_seam = _static_tables(cfg.L, cfg.H)
     n = nxt.size
-    indptr = np.arange(n + 1, dtype=np.int32)
-    graph = csr_matrix((np.ones(n, dtype=np.int8), nxt, indptr), shape=(n, n))
+    graph = csr_matrix((np.ones(n), nxt, ids), shape=(n, n))
     n_cycles, labels = connected_components(graph, directed=True, connection="strong")
-    seam_labels = labels[seam_states]
-    windx = np.bincount(seam_labels, weights=seam_dx, minlength=n_cycles)
-    windy = np.bincount(seam_labels, weights=seam_dy, minlength=n_cycles)
+
+    def crossings(states):
+        return np.bincount(labels[states], minlength=n_cycles)
+
+    windx = crossings(x_seam[0]) - crossings(x_seam[1])
+    windy = crossings(y_seam[0]) - crossings(y_seam[1])
     vertical = windy != 0
     n_vert = int(np.count_nonzero(vertical))
     n_nc = int(np.count_nonzero(~vertical & (windx != 0)))
-    counts = (n_cycles - n_vert - n_nc, n_nc, n_vert, n_cycles)
-    if any(c % 2 for c in counts):
-        raise AssertionError(f"directed cycles do not pair into loops (routing bug): {counts}")
-    return tuple(c // 2 for c in counts)
+    lifts = (n_cycles - n_vert - n_nc, n_nc, n_vert)
+    covers = _covers(cfg.H)
+    if any(c % covers for c in lifts):
+        raise AssertionError(f"lifts to the double cover do not pair (routing bug): {lifts}")
+    counts = tuple(c // covers for c in lifts)
+    return (*counts, sum(counts))
 
 
 def sample_lattice(cfg: MCConfig, replica_index: int) -> LoopCensus:
     """Sample one replica's tile array and classify every loop exactly once.
 
     The permutation property of the walk table guarantees every bond lies on
-    exactly one loop, and every loop on exactly two directed cycles.
+    exactly one loop, and every loop on exactly one cycle (at odd H, on two
+    cycles of the double cover).
     """
     cfg.validate()
     n_c, n_nc, n_vert, n_loops = _loop_counts(cfg, _sample_tiles(cfg, replica_index))

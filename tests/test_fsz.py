@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopdens.closed_form import nu_c_exact, nu_nc_exact
-from loopdens.cyclotomic import Cyclotomic, CycPoly, GammaPoleError, ONE, q_power
+from loopdens.cyclotomic import (
+    Cyclotomic,
+    CycPoly,
+    GammaPoleError,
+    ONE,
+    is_nonpositive_integer,
+    q_power,
+)
 from loopdens.fsz import (
     KUMMER_SHIFTS,
     RouteMismatchError,
@@ -207,6 +214,31 @@ def test_kummer_routes_match_series_off_the_sweep(pair):
 def test_kummer_running_products_keep_the_pole_refusal(a, b):
     with pytest.raises(GammaPoleError):
         kummer_contiguous(a, b)
+
+
+def _kummer_outcome(route, a, b):
+    """The class of the exception `route(a, b)` raises, or None."""
+    try:
+        route(a, b)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def test_kummer_routes_refuse_the_same_poles():
+    # a on thirds and odd halves, b from -4 to 3: poles at a, at 1-b and at
+    # c = 1+a-b+n all occur, and both routes must refuse each the same way
+    grid_a = [Fraction(k, 3) for k in range(-12, 13)] + [Fraction(k, 2) for k in range(-7, 8, 2)]
+    refused = 0
+    for a in grid_a:
+        for b in range(-4, 4):
+            exact = _kummer_outcome(kummer_contiguous, a, b)
+            assert _kummer_outcome(kummer_contiguous_numeric, a, b) is exact, (a, b)
+            assert exact in (None, GammaPoleError), (a, b)
+            if is_nonpositive_integer(a) or b >= 1:
+                assert exact is GammaPoleError, (a, b)
+            refused += exact is GammaPoleError
+    assert 0 < refused < len(grid_a) * 8
 
 
 def test_kummer_shift_validation():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopdens.closed_form import nu_c_exact, nu_nc_exact
 from loopdens import montecarlo
@@ -216,13 +218,29 @@ def test_run_needs_two_replicas():
         run(MCConfig(L=2, H=20, seed=1, replicas=1))
 
 
+def oriented_half(L, H):
+    """The old four-state index (4*site + entry, entry W, E, S, N) of every
+    oriented state 2*site + b: W or E at x+y even, S or N at x+y odd."""
+    y, x = np.divmod(np.arange(L * H), L)
+    return (4 * np.arange(L * H) + 2 * ((x + y) % 2))[:, None] + np.arange(2)
+
+
 def test_walk_table_is_permutation():
-    cfg = MCConfig(L=4, H=60, seed=2, replicas=1)
-    tiles = _sample_tiles(cfg, 0)
-    nxt = walk_tables(cfg, tiles)
-    assert nxt.dtype == np.int32
-    assert sorted(nxt.tolist()) == list(range(4 * 4 * 60))
-    assert nxt.tolist() == reference_walk_tables(4, 60, tiles)[0]
+    # at odd H the walk runs on the double cover: the tiles stacked twice
+    L = 4
+    for H in (60, 61):
+        cfg = MCConfig(L=L, H=H, seed=2, replicas=1)
+        tiles = _sample_tiles(cfg, 0)
+        nxt = walk_tables(cfg, tiles)
+        covers = 1 + H % 2
+        assert nxt.dtype == np.int32
+        assert sorted(nxt.tolist()) == list(range(2 * L * covers * H))
+        old_nxt = np.array(reference_walk_tables(L, covers * H, np.tile(tiles, (covers, 1)))[0])
+        embed = oriented_half(L, covers * H).reshape(-1)
+        in_half = np.zeros(old_nxt.size, dtype=bool)
+        in_half[embed] = True
+        assert in_half[old_nxt[embed]].all(), "the old walk leaves the oriented half"
+        assert (old_nxt[embed] == embed[nxt]).all()
 
 
 HEIGHTS = {"10L": lambda L: 10 * L, "10L+1": lambda L: 10 * L + 1, "100L+1": lambda L: 100 * L + 1}
@@ -254,24 +272,78 @@ def test_cycle_census_matches_seam_tracer_on_crafted_tiles(L, odd):
 
 def test_census_refuses_a_table_that_is_not_a_permutation(monkeypatch):
     cfg = MCConfig(L=2, H=20, seed=0, replicas=1)
-    succ, *seams = montecarlo._static_tables(2, 20)
-    broken = succ.copy()
-    broken[:, 41] = broken[:, 42]
-    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (broken, *seams))
+    ids, target, *seams = montecarlo._static_tables(2, 20)
+    broken = target.copy()
+    broken[41] = broken[42]
+    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (ids, broken, *seams))
     with pytest.raises(AssertionError, match="not a permutation"):
         _loop_counts(cfg, _sample_tiles(cfg, 0))
 
 
+# At H = 21 the census walks the 4 x 42 double cover.  Under all-0 tiles the
+# walk is the table itself, so the identity makes every state its own cycle:
+# 42 horizontal (the x-seam states), 4 vertical (the y-seam states) and 290
+# contractible, which fold to (145, 21, 2, 168).  Each swap joins two states
+# into one cycle and leaves that class with an odd number of lifts.
+UNPAIRED_LIFTS = [
+    (82, 83),  # contractible: site x=1, y=10, off both seams
+    (0, 16),  # horizontal: two eastward x-seam states, one cycle winding 2 in x
+    (2, 6),  # vertical: two northward y-seam states, one cycle winding 2 in y
+]
+
+
 def test_census_refuses_cycles_that_do_not_pair(monkeypatch):
-    # the identity with states 42 and 43 swapped (site x=0, y=5, off both
-    # seams) is a permutation with an odd number of cycles
-    cfg = MCConfig(L=2, H=20, seed=0, replicas=1)
-    _, *seams = montecarlo._static_tables(2, 20)
-    one_swap = np.tile(np.arange(4 * 2 * 20, dtype=np.int32), (2, 1))
-    one_swap[:, [42, 43]] = one_swap[:, [43, 42]]
-    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (one_swap, *seams))
-    with pytest.raises(AssertionError, match="do not pair"):
-        _loop_counts(cfg, _sample_tiles(cfg, 0))
+    cfg = MCConfig(L=4, H=21, seed=0, replicas=1)
+    ids, _, *seams = montecarlo._static_tables(4, 21)
+    identity = ids[:-1]
+    tiles = np.zeros((21, 4), dtype=np.int8)
+    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (ids, identity, *seams))
+    assert _loop_counts(cfg, tiles) == (145, 21, 2, 168)
+    for a, b in UNPAIRED_LIFTS:
+        table = identity.copy()
+        table[[a, b]] = table[[b, a]]
+        monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (ids, table, *seams))
+        with pytest.raises(AssertionError, match="do not pair"):
+            _loop_counts(cfg, tiles)
+
+
+@st.composite
+def small_tori(draw):
+    L = draw(st.sampled_from([2, 4, 6, 8]))
+    H = draw(st.integers(min_value=1, max_value=15))
+    return L, H, draw(st.lists(st.integers(0, 1), min_size=L * H, max_size=L * H))
+
+
+# L = 4, H = 3: three contractible loops and one with windings (-1, -2),
+# whose two lifts to the double cover each wind (-1, -1)
+EVEN_Q_AT_ODD_H = (4, 3, [0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0])
+
+
+def test_pinned_torus_has_a_vertical_loop_with_even_q():
+    L, H, bits = EVEN_Q_AT_ODD_H
+    loops, _ = reference_trace(L, H, np.reshape(bits, (H, L)).tolist())
+    assert sorted(loops) == [(-1, -2), (0, 0), (0, 0), (0, 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(torus=small_tori())
+def test_windings_have_the_parity_of_alternating_steps(torus):
+    # each tile pairs a horizontal with a vertical bond end, so a loop makes
+    # as many steps in x as in y: L*p = H*q (mod 2), and q is even at odd H,
+    # which is why every loop has two lifts to the double cover
+    L, H, bits = torus
+    loops, _ = reference_trace(L, H, np.reshape(bits, (H, L)).tolist())
+    assert all((L * p + H * q) % 2 == 0 for p, q in loops)
+
+
+@settings(max_examples=200, deadline=None)
+@example(torus=EVEN_Q_AT_ODD_H)
+@given(torus=small_tori())
+def test_cycle_census_matches_seam_tracer_on_small_tori(torus):
+    # _loop_counts directly: MCConfig.validate would refuse H < 10 L
+    L, H, bits = torus
+    tiles = np.array(bits, dtype=np.int8).reshape(H, L)
+    assert _loop_counts(MCConfig(L=L, H=H, seed=0), tiles) == seam_tracer_counts(L, H, tiles)
 
 
 def test_import_leaves_scipy_out():
