@@ -29,7 +29,11 @@ import mpmath as mp
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_FSZ_DERIVATIVE = "fsz_derivative"
 METHOD_TRANSFER_ORACLE = "transfer_oracle"
-METHOD_MONTE_CARLO = "monte_carlo"
+
+# mpmath working precision, in decimal digits, of the gamma forms and of the
+# asymptotic residuals
+_GAMMA_DPS = 50
+_RESIDUAL_DPS = 60
 
 # leading asymptotic constants
 NU_C_LIMIT = (3.0 * math.sqrt(3.0) - 5.0) / 2.0
@@ -75,13 +79,13 @@ def nu_nc_exact(N: int) -> Fraction:
     return Fraction(p * p - 3 * q * q, 4 * N * p * q)
 
 
-def nu_c_gamma_form(N: int, dps: int = 50) -> float:
+def nu_c_gamma_form(N: int) -> float:
     """Gamma-function form of nu_c, evaluated in high-precision floats.
 
     Cross-check only; the rational form is the production path.
     """
     _check_n(N)
-    with mp.workdps(dps):
+    with mp.workdps(_GAMMA_DPS):
         n = mp.mpf(N)
         t1 = 3 * mp.gamma(n / 2) * mp.gamma(3 * n / 2 + mp.mpf(1) / 2) / (
             4 * mp.gamma(3 * n / 2) * mp.gamma((n + 1) / 2)
@@ -100,10 +104,10 @@ def nu_c_gamma_form(N: int, dps: int = 50) -> float:
         return float(t1 + t2 - mp.mpf(5) / 2)
 
 
-def nu_nc_gamma_form(N: int, dps: int = 50) -> float:
+def nu_nc_gamma_form(N: int) -> float:
     """Gamma-function form of nu_nc (floating-point cross-check)."""
     _check_n(N)
-    with mp.workdps(dps):
+    with mp.workdps(_GAMMA_DPS):
         n = mp.mpf(N)
         pref = mp.mpf(2) ** (2 * (n - 2)) * mp.gamma(n) / (n * mp.pi**2 * mp.gamma(3 * n))
         bracket = mp.mpf(3) ** (3 * n) * mp.gamma(n / 2 + mp.mpf(1) / 6) ** 2 * mp.gamma(
@@ -112,43 +116,46 @@ def nu_nc_gamma_form(N: int, dps: int = 50) -> float:
         return float(pref * bracket)
 
 
-# asymptotic series coefficients: nu_c(2N) ~ c0 + c1 (2N)^-2 + c2 (2N)^-4,
-# nu_nc(2N) ~ d0 (2N)^-2 + d1 (2N)^-4 + d2 (2N)^-6 (coefficients over sqrt(3))
-_NU_C_COEFFS = (Fraction(0), Fraction(1, 4), Fraction(-23, 48))
-_NU_NC_COEFFS = (Fraction(1), Fraction(-17, 18), Fraction(1021, 216))
+# Large-L series per density kind: (limit, coefficients, first power), the
+# limit as its (sqrt(3) part, rational part).  Truncated after `order`,
+#   nu(2N) ~ limit + sum_{k <= order} coefficients[k] / sqrt(3) * (2N)^(-2(first + k)),
+# so the residual decays like (2N)^(-2(first + order + 1)).
+_SERIES = {
+    "nu_c": ((Fraction(3, 2), Fraction(-5, 2)), (Fraction(0), Fraction(1, 4), Fraction(-23, 48)), 0),
+    "nu_nc": ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(-17, 18), Fraction(1021, 216)), 1),
+}
 
 
-def _check_order(order: int):
-    if order not in (0, 1, 2):
+def _series(kind: str, order: int):
+    """The _SERIES entry of `kind`, with the coefficients cut after `order`."""
+    if kind not in _SERIES:
+        raise ValueError(f"unknown density kind {kind!r}")
+    limit, coeffs, first = _SERIES[kind]
+    if order not in range(len(coeffs)):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    return limit, coeffs[: order + 1], first
 
 
 def _series_sum(kind: str, N: int, order: int, num, s3):
     """Large-L series of `kind` at circumference 2N, truncated after `order`
     corrections, in the arithmetic of `num` (which converts a Fraction) with
     `s3` = sqrt(3) in that arithmetic, so floats and mpmath share one sum."""
-    if kind == "nu_c":
-        total, coeffs, first = (3 * s3 - 5) / 2, _NU_C_COEFFS, 1
-    elif kind == "nu_nc":
-        total, coeffs, first = num(Fraction(0)), _NU_NC_COEFFS, 0
-    else:
-        raise ValueError(f"unknown density kind {kind!r}")
-    for k in range(first, order + 1):
-        total += num(coeffs[k]) / s3 * num(Fraction(2 * N)) ** (-2 * (k + 1 - first))
+    (root, rational), coeffs, first = _series(kind, order)
+    total = num(root) * s3 + num(rational)
+    for k, c in enumerate(coeffs):
+        total += num(c) / s3 * num(Fraction(2 * N)) ** (-2 * (first + k))
     return total
 
 
 def nu_c_asymptotic(N: int, order: int) -> float:
     """Partial sum of the large-L series for nu_c, truncated after `order` corrections."""
     _check_n(N)
-    _check_order(order)
     return _series_sum("nu_c", N, order, float, math.sqrt(3.0))
 
 
 def nu_nc_asymptotic(N: int, order: int) -> float:
     """Partial sum of the large-L series for nu_nc; order 0 is the leading term."""
     _check_n(N)
-    _check_order(order)
     return _series_sum("nu_nc", N, order, float, math.sqrt(3.0))
 
 
@@ -156,39 +163,31 @@ def _mp_exact(value: Fraction):
     return mp.mpf(value.numerator) / mp.mpf(value.denominator)
 
 
-def asymptotic_residual(kind: str, N: int, order: int, dps: int = 60):
-    """(exact, series, residual) as floats computed at high precision.
+def asymptotic_residual(kind: str, N: int, order: int):
+    """(exact, series, residual) as floats computed at _RESIDUAL_DPS digits.
 
     The residuals decay like (2N)^(-2(order+1)) for nu_c and (2N)^(-2(order+2))
     for nu_nc, far below double precision relative to the exact values at large
     N, so the difference is taken in mpmath before rounding to float.
     """
-    _check_order(order)
-    with mp.workdps(dps):
-        if kind == "nu_c":
-            exact = _mp_exact(nu_c_exact(N))
-        elif kind == "nu_nc":
-            exact = _mp_exact(nu_nc_exact(N))
-        else:
-            raise ValueError(f"unknown density kind {kind!r}")
+    _check_n(N)
+    with mp.workdps(_RESIDUAL_DPS):
         series = _series_sum(kind, N, order, _mp_exact, mp.sqrt(3))
+        # looked up by name at each call, not held in _SERIES
+        exact = _mp_exact((nu_c_exact if kind == "nu_c" else nu_nc_exact)(N))
         residual = exact - series
         return float(exact), float(series), float(residual)
 
 
 def residual_scale_power(kind: str, order: int) -> int:
     """Power of (2N) that turns the order-`order` residual into a plateau."""
-    _check_order(order)
-    if kind == "nu_c":
-        return 2 * (order + 1)
-    if kind == "nu_nc":
-        return 2 * (order + 2)
-    raise ValueError(f"unknown density kind {kind!r}")
+    _, _, first = _series(kind, order)
+    return 2 * (first + order + 1)
 
 
-def scaled_residual(kind: str, N: int, order: int, dps: int = 60) -> float:
+def scaled_residual(kind: str, N: int, order: int) -> float:
     """(2N)^p * |exact - series| with the plateau-correct power p."""
-    _, _, residual = asymptotic_residual(kind, N, order, dps=dps)
+    _, _, residual = asymptotic_residual(kind, N, order)
     return abs(residual) * (2 * N) ** residual_scale_power(kind, order)
 
 

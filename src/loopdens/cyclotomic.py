@@ -36,8 +36,6 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -191,8 +189,7 @@ ZERO = Cyclotomic(0)
 ONE = Cyclotomic(1)
 OMEGA = Cyclotomic(0, 1)
 
-# q = exp(i*pi/3) is the basis element itself; q - 1/q = i*sqrt(3)
-Q_UNIT = OMEGA
+# q = exp(i*pi/3) is the basis element OMEGA itself; q - 1/q = i*sqrt(3)
 I_SQRT3 = Cyclotomic(-1, 2)
 
 # powers of q repeat with period 6: 1, w, w-1, -1, -w, 1-w

@@ -22,6 +22,7 @@ import mpmath as mp
 from .closed_form import (
     DensityRecord,
     METHOD_FSZ_DERIVATIVE,
+    _check_n,
     make_record,
     nu_c_exact,
     nu_nc_exact,
@@ -128,8 +129,7 @@ def build_fsz(N: int) -> FszSolution:
     coefficient is an exact rational; this is asserted, together with
     deg Q = deg P = N.
     """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+    _check_n(N)
     third = Fraction(1, 3)
     two_thirds = Fraction(2, 3)
 
@@ -349,17 +349,21 @@ def tq_density_record(N: int) -> DensityRecord:
 # -- Bethe-equation residual check -------------------------------------------
 
 
-def bethe_residual(sol: FszSolution, dps: int = 60) -> float:
+# mpmath working precision, in decimal digits, of bethe_residual
+_BETHE_DPS = 60
+
+
+def bethe_residual(sol: FszSolution) -> float:
     """Max residual of the Bethe equations over the numeric roots of Q.
 
-    Roots are extracted by simultaneous (Durand-Kerner) iteration at `dps`
+    Roots are extracted by simultaneous (Durand-Kerner) iteration at _BETHE_DPS
     decimal digits, the full Q being evaluated at every candidate.  For each
     root u_i the residual is
     | e^(2i*phi) ((u_i - q)/(1 - q u_i))^L - (-1)^(M-1) prod_j (q^2 u_j - u_i)/(q^2 u_i - u_j) |
     at q = e^(i*pi/3), phi = pi/3, L = 2N, M = N.
     """
     N = sol.N
-    with mp.workdps(dps):
+    with mp.workdps(_BETHE_DPS):
         coeffs = []
         for c in reversed(sol.q_poly.coeffs):
             r = c.as_rational()
@@ -371,7 +375,7 @@ def bethe_residual(sol: FszSolution, dps: int = 60) -> float:
         lead = coeffs[0]
         for i, u in enumerate(roots):
             val = mp.polyval(coeffs, u)
-            if abs(val) > mp.mpf(10) ** (-(dps - 12)) * max(1, abs(lead)):
+            if abs(val) > mp.mpf(10) ** (-(_BETHE_DPS - 12)) * max(1, abs(lead)):
                 raise RootConvergenceError(
                     f"root {i} failed to converge: |Q(u_{i})| = {abs(val)}", root_index=i
                 )

@@ -36,6 +36,7 @@ Error bars come from replica-to-replica variance, never from per-loop counts.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -241,15 +242,24 @@ def _pooled(values: list[float]):
     return mean, (var / n) ** 0.5
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(cfg: MCConfig, workers: int = 1) -> MCStats:
     """Run all replicas (optionally in parallel processes) and pool statistics.
 
-    The merge is replica-ordered, so the result is bit-identical for any
-    worker count.  Needs at least two replicas: the stderr is pooled over them.
+    The pool never holds more processes than there are replicas or usable
+    CPUs: under fork every one of them starts up front.  The merge is
+    replica-ordered, so the result is bit-identical for any worker count.
+    Needs at least two replicas: the stderr is pooled over them.
     """
     cfg.validate()
     if cfg.replicas < 2:
         raise ValueError(f"run needs >= 2 replicas for a stderr, got {cfg.replicas}")
+    workers = min(workers, cfg.replicas, _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             censuses = list(pool.map(sample_lattice, [cfg] * cfg.replicas, range(cfg.replicas)))

@@ -41,15 +41,20 @@ def _first_mismatch(p: CycPoly, q: CycPoly):
     return None
 
 
+def _bracket(sol: FszSolution, k: int) -> CycPoly:
+    """[q^k Q(q^k u) P(q^-k u) - q^-k Q(q^-k u) P(q^k u)] / (q - q^-1)."""
+    qk, qmk = q_power(k), q_power(-k)
+    num = (
+        qk * (sol.q_poly.scale_arg(qk) * sol.p_poly.scale_arg(qmk))
+        - qmk * (sol.q_poly.scale_arg(qmk) * sol.p_poly.scale_arg(qk))
+    )
+    return num * I_SQRT3.inverse()
+
+
 def reconstruct_t(sol: FszSolution) -> CycPoly:
     """T(u) rebuilt from Q and P:
     [q^2 Q(q^2 u) P(q^-2 u) - q^-2 Q(q^-2 u) P(q^2 u)] / (q - q^-1)."""
-    q2, qm2 = q_power(2), q_power(-2)
-    num = (
-        q2 * (sol.q_poly.scale_arg(q2) * sol.p_poly.scale_arg(qm2))
-        - qm2 * (sol.q_poly.scale_arg(qm2) * sol.p_poly.scale_arg(q2))
-    )
-    return num * I_SQRT3.inverse()
+    return _bracket(sol, 2)
 
 
 def verify_t_form(sol: FszSolution) -> VerifyResult:
@@ -66,15 +71,10 @@ def verify_t_form(sol: FszSolution) -> VerifyResult:
 
 
 def verify_wronskian(sol: FszSolution) -> VerifyResult:
-    """[q Q(qu) P(q^-1 u) - q^-1 Q(q^-1 u) P(qu)] / (q - q^-1) = (1-u)^L."""
+    """[q Q(qu) P(q^-1 u) - q^-1 Q(q^-1 u) P(qu)] / (q - q^-1) = (1-u)^L,
+    the bracket at k = 1."""
     n = sol.N
-    q1, qm1 = q_power(1), q_power(-1)
-    lhs = (
-        q1 * (sol.q_poly.scale_arg(q1) * sol.p_poly.scale_arg(qm1))
-        - qm1 * (sol.q_poly.scale_arg(qm1) * sol.p_poly.scale_arg(q1))
-    ) * I_SQRT3.inverse()
-    rhs = CycPoly.binomial_power(1, -1, 2 * n)
-    k = _first_mismatch(lhs, rhs)
+    k = _first_mismatch(_bracket(sol, 1), CycPoly.binomial_power(1, -1, 2 * n))
     if k is not None:
         return VerifyResult("wronskian", n, False, f"coefficient {k} differs")
     return VerifyResult("wronskian", n, True)
@@ -87,25 +87,15 @@ def verify_tq_tp(sol: FszSolution) -> VerifyResult:
     T(u) P(u) = q^-1 phi(u q^-1) P(u q^2) + q phi(u q) P(u q^-2)
     """
     n = sol.N
-    q1, qm1, q2, qm2 = q_power(1), q_power(-1), q_power(2), q_power(-2)
-    phi_qm1 = CycPoly.binomial_power(1, -qm1, 2 * n)  # phi(u q^-1)
-    phi_q1 = CycPoly.binomial_power(1, -q1, 2 * n)    # phi(u q)
-
-    lhs_q = sol.t_poly * sol.q_poly
-    rhs_q = q1 * (phi_qm1 * sol.q_poly.scale_arg(q2)) + qm1 * (
-        phi_q1 * sol.q_poly.scale_arg(qm2)
-    )
-    k = _first_mismatch(lhs_q, rhs_q)
-    if k is not None:
-        return VerifyResult("tq_tp", n, False, f"T-Q relation fails at coefficient {k}")
-
-    lhs_p = sol.t_poly * sol.p_poly
-    rhs_p = qm1 * (phi_qm1 * sol.p_poly.scale_arg(q2)) + q1 * (
-        phi_q1 * sol.p_poly.scale_arg(qm2)
-    )
-    k = _first_mismatch(lhs_p, rhs_p)
-    if k is not None:
-        return VerifyResult("tq_tp", n, False, f"T-P relation fails at coefficient {k}")
+    q2, qm2 = q_power(2), q_power(-2)
+    phi_qm1 = CycPoly.binomial_power(1, -q_power(-1), 2 * n)  # phi(u q^-1)
+    phi_q1 = CycPoly.binomial_power(1, -q_power(1), 2 * n)    # phi(u q)
+    for name, poly, s in (("Q", sol.q_poly, 1), ("P", sol.p_poly, -1)):
+        lhs = sol.t_poly * poly
+        rhs = q_power(s) * (phi_qm1 * poly.scale_arg(q2)) + q_power(-s) * (phi_q1 * poly.scale_arg(qm2))
+        k = _first_mismatch(lhs, rhs)
+        if k is not None:
+            return VerifyResult("tq_tp", n, False, f"T-{name} relation fails at coefficient {k}")
     return VerifyResult("tq_tp", n, True)
 
 

@@ -372,6 +372,10 @@ def sixvertex_transfer(L: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
+# twist-angle step of the central difference in sixvertex_check
+_TWIST_STEP = 1e-4
+
+
 def _lambda_max(blocks, phi: float) -> float:
     """Largest |eigenvalue| of T(phi): the union of the block spectra is its spectrum."""
     u = np.exp(1j * phi)
@@ -381,7 +385,6 @@ def _lambda_max(blocks, phi: float) -> float:
 @dataclass(frozen=True)
 class SixVertexReport:
     L: int
-    delta_phi: float
     lambda_max: float
     lambda_rel_error: float
     phi_symmetry_error: float
@@ -394,7 +397,7 @@ class SixVertexReport:
         return self.lambda_rel_error < 1e-9 and self.phi_symmetry_error < 1e-9
 
 
-def sixvertex_check(L: int, delta_phi: float = 1e-4) -> SixVertexReport:
+def sixvertex_check(L: int) -> SixVertexReport:
     """Check Lambda_max = 2^L at the stochastic point and recover nu_nc from
     a central finite difference of ln Lambda_max in the twist angle:
     nu_nc = -(1/(2 sqrt(3) N)) d ln Lambda / d phi at phi = pi/3.
@@ -404,21 +407,17 @@ def sixvertex_check(L: int, delta_phi: float = 1e-4) -> SixVertexReport:
     the real A0, A1 make the two equal by construction, so it reads about 0.
     """
     check_oracle_l(L)
-    if not (1e-6 <= delta_phi <= 1e-3):
-        raise ValueError(f"delta_phi must lie in [1e-6, 1e-3], got {delta_phi}")
     blocks = sixvertex_transfer(L)
     phi0 = math.pi / 3
     lam0 = _lambda_max(blocks, phi0)
     lam_sym = _lambda_max(blocks, -phi0)
-    dln = (
-        math.log(_lambda_max(blocks, phi0 + delta_phi)) - math.log(_lambda_max(blocks, phi0 - delta_phi))
-    ) / (2 * delta_phi)
+    h = _TWIST_STEP
+    dln = (math.log(_lambda_max(blocks, phi0 + h)) - math.log(_lambda_max(blocks, phi0 - h))) / (2 * h)
     N = L // 2
     nu_fd = -dln / (2 * math.sqrt(3.0) * N)
     nu_exact = float(nu_nc_exact(N))
     return SixVertexReport(
         L=L,
-        delta_phi=delta_phi,
         lambda_max=lam0,
         lambda_rel_error=abs(lam0 - 2 ** L) / 2 ** L,
         phi_symmetry_error=abs(lam0 - lam_sym) / 2 ** L,

@@ -164,9 +164,9 @@ def test_criterion_8_monte_carlo():
 def test_criterion_9_sixvertex():
     t0 = time.time()
     for L in (2, 4, 6):
-        rep = sixvertex_check(L, 1e-4)
+        rep = sixvertex_check(L)
         assert rep.lambda_rel_error < 1e-9, f"L={L}"
-    rep4 = sixvertex_check(4, 1e-4)
+    rep4 = sixvertex_check(4)
     assert rep4.nu_nc_error < 1e-6
     elapsed = time.time() - t0
     _report(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopdens import cli, cyclotomic, fsz, tq_identities, transfer_oracle
+from loopdens import cli, cyclotomic, fsz, montecarlo, tq_identities, transfer_oracle
 from loopdens.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from loopdens.fsz import KUMMER_SHIFTS, kummer_parameter_sweep
 
@@ -175,6 +175,19 @@ def test_simulate_small_and_deterministic():
     payload = json.loads(out1)
     assert payload["replicas"] == 4
     assert abs(payload["z_nu_c"]) < 4
+
+
+@pytest.mark.parametrize("source", ["--workers", "LOOPDENS_THREADS"])
+def test_simulate_pool_never_exceeds_the_replicas(monkeypatch, serial_pool, source):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+    argv = ["simulate", "--l", "2", "--height", "2000", "--seed", "7", "--replicas", "3"]
+    serial = run_cli(argv + ["--workers", "1"])
+    if source == "--workers":
+        argv += ["--workers", "5000"]
+    else:
+        monkeypatch.setenv("LOOPDENS_THREADS", "5000")
+    assert run_cli(argv) == serial
+    assert serial_pool == [3]
 
 
 def test_simulate_height_guard():

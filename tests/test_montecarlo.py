@@ -203,6 +203,24 @@ def test_run_matches_serial_order():
     assert stats.n_loops == sum(c.n_loops for c in manual)
 
 
+@pytest.mark.parametrize(
+    "workers, replicas, cpus, pool_size",
+    [(5000, 2, 64, 2), (5000, 8, 3, 3), (2, 8, 64, 2), (5000, 4, 1, None), (1, 4, 64, None)],
+)
+def test_worker_pool_is_bounded_by_replicas_and_cpus(
+    monkeypatch, serial_pool, workers, replicas, cpus, pool_size
+):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    cfg = MCConfig(L=2, H=100, seed=4, replicas=replicas)
+    stats = run(cfg, workers=workers)
+    assert serial_pool == ([] if pool_size is None else [pool_size])
+    assert stats == run(cfg)
+
+
+def test_usable_cpus_is_positive_and_at_most_the_cpu_count():
+    assert 1 <= montecarlo._usable_cpus() <= (os.cpu_count() or 1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MCConfig(L=3, H=100, seed=0).validate()

@@ -1,5 +1,7 @@
 """Coefficient-exact functional identity checks."""
 
+import dataclasses
+
 import pytest
 
 from loopdens.closed_form import nu_c_exact, nu_nc_exact
@@ -101,3 +103,36 @@ def test_exact_chain_at_l_100_and_200(n):
     assert verify_tq_tp(sol)
     bundle = densities_from_solution(sol)
     assert (bundle.nu_c, bundle.nu_nc) == (nu_c_exact(n), nu_nc_exact(n))
+
+
+# a perturbed N = 3 solution: (field, degree of the added x^k) -> the
+# t_form, wronskian and tq_tp details of the first failing coefficient
+_PERTURBED_DETAILS = {
+    ("q_poly", 0): ("coefficient 0 differs", "coefficient 0 differs", "T-Q relation fails at coefficient 1"),
+    ("q_poly", 2): ("coefficient 3 differs", "coefficient 3 differs", "T-Q relation fails at coefficient 4"),
+    ("p_poly", 1): ("coefficient 2 differs", "coefficient 2 differs", "T-P relation fails at coefficient 2"),
+    ("p_poly", 3): ("coefficient 3 differs", "coefficient 3 differs", "T-P relation fails at coefficient 5"),
+}
+
+
+@pytest.mark.parametrize("field, k", sorted(_PERTURBED_DETAILS))
+def test_perturbed_solution_fails_at_the_first_wrong_coefficient(field, k):
+    sol = build_fsz(3)
+    bad = dataclasses.replace(sol, **{field: getattr(sol, field) + CycPoly.monomial(k)})
+    rows = (verify_t_form(bad), verify_wronskian(bad), verify_tq_tp(bad))
+    assert [r.identity for r in rows] == ["t_form", "wronskian", "tq_tp"]
+    assert not any(r.ok for r in rows)
+    assert tuple(r.detail for r in rows) == _PERTURBED_DETAILS[field, k]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_t_form_reports_a_wrong_t_at_one(n):
+    # the rebuilt T is linear in Q, so doubling Q and T together keeps the
+    # coefficients equal and only T(1) shows it; T Q then doubles once more
+    # than its right side, already at u^0
+    sol = build_fsz(n)
+    bad = dataclasses.replace(sol, q_poly=sol.q_poly * 2, t_poly=sol.t_poly * 2)
+    row = verify_t_form(bad)
+    assert not row.ok
+    assert row.detail == f"T(1) = Cyc({2 * 4 ** n}) != {4 ** n}"
+    assert verify_tq_tp(bad).detail == "T-Q relation fails at coefficient 0"

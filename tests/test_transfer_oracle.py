@@ -265,27 +265,22 @@ def test_size_guards():
 
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_sixvertex_stochastic_point(L):
-    rep = sixvertex_check(L, 1e-4)
+    rep = sixvertex_check(L)
     assert rep.lambda_rel_error < 1e-9
     assert rep.phi_symmetry_error < 1e-9
 
 
 def test_sixvertex_check_l10():
-    rep = sixvertex_check(10, 1e-4)
+    rep = sixvertex_check(10)
     assert rep.lambda_rel_error < 1e-9
     assert rep.phi_symmetry_error < 1e-9
     assert rep.nu_nc_error < 1e-6
 
 
 def test_sixvertex_fd_derivative_l4():
-    rep = sixvertex_check(4, 1e-4)
+    rep = sixvertex_check(4)
     assert rep.nu_nc_error < 1e-6
     assert rep.nu_nc_exact == pytest.approx(11.0 / 320.0)
-
-
-def test_sixvertex_delta_guard():
-    with pytest.raises(ValueError):
-        sixvertex_check(4, 1e-2)
 
 
 def test_sixvertex_weight_structure_at_stochastic_point():
@@ -348,6 +343,6 @@ def test_sixvertex_check_builds_the_blocks_once(monkeypatch):
         return build(L)
 
     monkeypatch.setattr(transfer_oracle, "sixvertex_transfer", counted)
-    rep = sixvertex_check(6, 1e-4)
+    rep = sixvertex_check(6)
     assert calls == [6]
     assert rep.lambda_rel_error < 1e-9
