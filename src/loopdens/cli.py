@@ -42,7 +42,7 @@ from .fsz import (
     kummer_parameter_sweep,
 )
 from .montecarlo import MCConfig, run as mc_run, stats_payload
-from .tq_identities import FSZ_IDENTITIES, TQ_IDENTITIES, VerifyResult, verify_suite
+from .tq_identities import FSZ_IDENTITIES, VerifyResult, verify_suite
 from .transfer_oracle import DegeneratePerronError, check_oracle_l, matrix_json, oracle_densities
 
 EXIT_OK = 0
@@ -189,6 +189,10 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK
 
 
+def _dump_error(path, exc: OSError) -> SystemExit2:
+    return SystemExit2(f"cannot write --dump-matrix {path!r}: {exc.strerror or exc}")
+
+
 def cmd_oracle(args, out) -> int:
     l = args.l
     try:
@@ -201,11 +205,16 @@ def cmd_oracle(args, out) -> int:
         try:
             dump = open(args.dump_matrix, "w", encoding="utf-8")
         except OSError as exc:
-            raise SystemExit2(f"cannot write --dump-matrix {args.dump_matrix!r}: {exc.strerror or exc}")
+            raise _dump_error(args.dump_matrix, exc)
     with dump as fh:
         rec = oracle_densities(l)
         if fh is not None:
-            json.dump(matrix_json(l), fh, indent=2)
+            payload = matrix_json(l)
+            try:
+                json.dump(payload, fh, indent=2)
+                fh.close()  # a full disk may show only when the buffer is flushed
+            except OSError as exc:
+                raise _dump_error(args.dump_matrix, exc)
     exact_c, exact_nc = nu_c_exact(l // 2), nu_nc_exact(l // 2)
     match = rec.nu_c == exact_c and rec.nu_nc == exact_nc
     out.write(f"L={l}\n")

@@ -126,7 +126,6 @@ def _fsz_consistency_rows(sol: FszSolution) -> list[VerifyResult]:
     return rows
 
 
-TQ_IDENTITIES = ("t_form", "wronskian", "tq_tp")
 FSZ_IDENTITIES = (
     "fsz_rational_coeffs",
     "fsz_divisible",

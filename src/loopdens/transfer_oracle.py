@@ -46,10 +46,6 @@ from .closed_form import (
     nu_nc_exact,
 )
 
-CONTRACTIBLE = "contractible"
-NON_CONTRACTIBLE = "non_contractible"
-
-
 # Largest circumference the exact oracle and the six-vertex check accept.
 ORACLE_MAX_L = 10
 
@@ -84,32 +80,10 @@ class LinkState:
             if self.parity[i] != self.parity[j]:
                 raise ValueError("chord parities must agree at both endpoints")
 
-    @property
-    def size(self) -> int:
-        return len(self.match)
-
     @classmethod
     def nested(cls, L: int) -> "LinkState":
         """Fully nested pattern: i paired with L-1-i, no seam crossings."""
         return cls(tuple(L - 1 - i for i in range(L)), (0,) * L)
-
-
-def _close_or_rewire(match, par, i, j, cap_parity):
-    """Join points i, j of the current (bottom) boundary by a cap.
-
-    Returns the closed-loop kind or None.  Positions i, j are consumed
-    (marked -1); a rewire joins the former partners with composed parity.
-    """
-    if match[i] == j:
-        kind = NON_CONTRACTIBLE if (par[i] ^ cap_parity) else CONTRACTIBLE
-        match[i] = match[j] = -1
-        return kind
-    a, b = match[i], match[j]
-    new_par = par[i] ^ par[j] ^ cap_parity
-    match[a], match[b] = b, a
-    par[a] = par[b] = new_par
-    match[i] = match[j] = -1
-    return None
 
 
 def _row_diagrams(L: int):
@@ -144,18 +118,26 @@ def _row_diagrams(L: int):
     return diagrams
 
 
-def _apply_diagram(state: LinkState, caps, shifts, cups):
-    """Apply one row diagram; returns (new state, #contractible, #non-contractible)."""
-    L = state.size
-    match = list(state.match)
-    par = list(state.parity)
+def _apply_diagram(state, caps, shifts, cups):
+    """Apply one row diagram to a (match, parity) pair; returns (new pair,
+    #contractible, #non-contractible).
+
+    A cap on the two ends of one chord closes a loop, non-contractible when
+    its parity is odd; any other cap joins the two former partners.
+    """
+    match, par = map(list, state)
+    L = len(match)
     n_c = n_nc = 0
     for i, j, cap_parity in caps:
-        kind = _close_or_rewire(match, par, i, j, cap_parity)
-        if kind == CONTRACTIBLE:
-            n_c += 1
-        elif kind == NON_CONTRACTIBLE:
-            n_nc += 1
+        a, b = match[i], match[j]
+        loop_par = par[i] ^ cap_parity
+        if a == j:
+            n_nc += loop_par
+            n_c += 1 - loop_par
+        else:
+            match[a], match[b] = b, a
+            par[a] = par[b] = loop_par ^ par[j]
+        match[i] = match[j] = -1
     out_match = [-1] * L
     out_par = [0] * L
     for p in range(L):
@@ -169,7 +151,7 @@ def _apply_diagram(state: LinkState, caps, shifts, cups):
     for i, j, cup_parity in cups:
         out_match[i], out_match[j] = j, i
         out_par[i] = out_par[j] = cup_parity
-    return LinkState(tuple(out_match), tuple(out_par)), n_c, n_nc
+    return (tuple(out_match), tuple(out_par)), n_c, n_nc
 
 
 def enumerate_states(L: int) -> tuple:
@@ -202,12 +184,14 @@ def row_transfer_matrix(L: int) -> TransferMatrix:
     """Build the exact row transfer operator on the link-pattern basis.
 
     One breadth-first closure from the nested pattern under the 2^L row
-    diagrams finds the states and fills one sparse cell per reached
-    (out, in) pair; the states are then sorted by (match, parity).
+    diagrams finds the states as plain (match, parity) pairs and fills one
+    sparse cell per reached (out, in) pair; the pairs are then sorted and
+    each becomes one validated LinkState.
     """
     check_oracle_l(L)
     diagrams = _row_diagrams(L)
-    found = {LinkState.nested(L): 0}
+    nested = LinkState.nested(L)
+    found = {(nested.match, nested.parity): 0}
     order = list(found)
     cells = {}
     closed = []
@@ -223,20 +207,20 @@ def row_transfer_matrix(L: int) -> TransferMatrix:
             n_c_col += n_c
             n_nc_col += n_nc
         closed.append((n_c_col, n_nc_col))
-    states = tuple(sorted(order, key=lambda s: (s.match, s.parity)))
-    index = {s: k for k, s in enumerate(states)}
+    pairs = sorted(order)
+    index = {s: k for k, s in enumerate(pairs)}
     pos = [index[s] for s in order]
     cells = {(pos[row], pos[col]): cell for (row, col), cell in cells.items()}
-    counts = [[0] * len(states) for _ in states]
+    counts = [[0] * len(pairs) for _ in pairs]
     for (i, j), cell in cells.items():
         counts[i][j] = sum(cell.values())
     return TransferMatrix(
         L=L,
-        states=states,
+        states=tuple(LinkState(*s) for s in pairs),
         cells=cells,
         counts=tuple(tuple(r) for r in counts),
-        loops_c=tuple(closed[found[s]][0] for s in states),
-        loops_nc=tuple(closed[found[s]][1] for s in states),
+        loops_c=tuple(closed[found[s]][0] for s in pairs),
+        loops_nc=tuple(closed[found[s]][1] for s in pairs),
     )
 
 
@@ -391,10 +375,6 @@ class SixVertexReport:
     nu_nc_fd: float
     nu_nc_exact: float
     nu_nc_error: float
-
-    @property
-    def ok(self) -> bool:
-        return self.lambda_rel_error < 1e-9 and self.phi_symmetry_error < 1e-9
 
 
 def sixvertex_check(L: int) -> SixVertexReport:

@@ -294,6 +294,14 @@ def test_oracle_unwritable_dump_is_usage_error(tmp_path):
     assert "--dump-matrix" in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_oracle_dump_write_failure_is_usage_error():
+    # /dev/full opens fine, and every write to it fails with ENOSPC
+    proc = run_cli_process(["oracle", "--l", "4", "--dump-matrix", "/dev/full"])
+    assert_contract(proc, EXIT_USAGE)
+    assert proc.stderr.startswith("error: cannot write --dump-matrix '/dev/full'")
+
+
 def test_oracle_dump_path_checked_before_oracle_runs(tmp_path, monkeypatch):
     def not_reached(l):
         raise AssertionError("oracle ran before the dump path was checked")

@@ -2,7 +2,9 @@
 
 import cmath
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -83,9 +85,8 @@ def test_enumerate_states_counts():
 
 
 def test_enumeration_is_closed():
-    states = enumerate_states(4)
-    pool = set(states)
-    for s in states:
+    pool = {(s.match, s.parity) for s in enumerate_states(4)}
+    for s in pool:
         for diagram in _row_diagrams(4):
             t, _, _ = _apply_diagram(s, *diagram)
             assert t in pool
@@ -93,8 +94,8 @@ def test_enumeration_is_closed():
 
 def test_row_diagram_close_examples():
     # L = 2; diagram k has tile (k >> i) & 1 at site i, and bond 1 is the wrap bond
-    s0 = LinkState((1, 0), (0, 0))
-    s1 = LinkState((1, 0), (1, 1))
+    s0 = ((1, 0), (0, 0))
+    s1 = ((1, 0), (1, 1))
     diagrams = _row_diagrams(2)
     # with no cap the chord shifts once through the seam
     assert _apply_diagram(s0, *diagrams[0b00]) == (s1, 0, 0)
@@ -105,6 +106,36 @@ def test_row_diagram_close_examples():
     # the wrap cap adds one seam crossing to the loop it closes
     assert _apply_diagram(s0, *diagrams[0b01]) == (s0, 0, 1)
     assert _apply_diagram(s1, *diagrams[0b01]) == (s0, 1, 0)
+
+
+@pytest.fixture
+def fresh_row_transfer_matrix():
+    row_transfer_matrix.cache_clear()
+    yield
+    row_transfer_matrix.cache_clear()
+
+
+def test_closure_builds_one_link_state_per_state(monkeypatch, fresh_row_transfer_matrix):
+    built = []
+    validate = LinkState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(LinkState, "__post_init__", counting)
+    tm = row_transfer_matrix(8)
+    # the nested seed plus one per sorted state, not one per transition
+    assert len(built) == len(tm.states) + 1 == 71
+
+
+def test_closure_rejects_a_pair_that_is_not_an_involution(monkeypatch, fresh_row_transfer_matrix):
+    def broken(state, caps, shifts, cups):
+        return ((1, 1, 3, 2), (0, 0, 0, 0)), 0, 0
+
+    monkeypatch.setattr(transfer_oracle, "_apply_diagram", broken)
+    with pytest.raises(ValueError, match="involution"):
+        row_transfer_matrix(4)
 
 
 def test_transfer_matrix_structure():
@@ -250,6 +281,21 @@ def test_matrix_json_shape():
     # one entry per non-zero cell, in (to, from) order
     entries = [(e["to"], e["from"]) for e in matrix_json(6)["entries"]]
     assert entries == sorted(row_transfer_matrix(6).cells)
+
+
+MATRIX_JSON_SHA256 = {
+    2: "d64a4fc8879fa93f206b3d365eca5cc155e81cc992aba69aff02f85643b6b693",
+    4: "0f2531ec44117f9262f0d89c5a32ea12ff7255130a8056af772e37ba164145ed",
+    6: "281e7900bffa04bc0247db226dcd7bb8fbbbd4a724a1ef1a63465285f44a109d",
+    8: "a4576c7f3791b6ce196d3b2b7288c5078dd25c25b806716f68fd1a9a817a05c7",
+}
+
+
+@pytest.mark.parametrize("L", sorted(MATRIX_JSON_SHA256))
+def test_matrix_json_golden_hash(L):
+    # the --dump-matrix text, state order and cell order included, is pinned
+    text = json.dumps(matrix_json(L), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_JSON_SHA256[L]
 
 
 def test_size_guards():
