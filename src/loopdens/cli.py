@@ -4,9 +4,10 @@ Monte Carlo runs and asymptotic residual streams.
 Exit-code contract: 0 = success / all checks pass, 1 = a verification or
 statistical gate failed, 2 = usage or validation error.  A computation that
 cannot finish (RouteMismatchError, RootConvergenceError, DegeneratePerronError,
-NotDivisibleError or GammaPoleError) also exits 1, with the single stderr line
-"error: <Class>: <message>" and no traceback; `verify` and `oracle`, which can
-raise them, compute everything before they write, so stdout stays empty.
+NotDivisibleError, GammaPoleError or RoutingError) also exits 1, with the
+single stderr line "error: <Class>: <message>" and no traceback; `verify`,
+`oracle` and `simulate`, which can raise them, compute everything before they
+write, so stdout stays empty.
 All exact rationals are emitted as separate numerator/denominator fields so
 they round-trip losslessly; every command is deterministic given its flags.
 """
@@ -41,7 +42,7 @@ from .fsz import (
     hyp2f1_at_minus_one,
     kummer_parameter_sweep,
 )
-from .montecarlo import MCConfig, run as mc_run, stats_payload
+from .montecarlo import MCConfig, RoutingError, run as mc_run, stats_payload
 from .tq_identities import FSZ_IDENTITIES, VerifyResult, verify_suite
 from .transfer_oracle import DegeneratePerronError, check_oracle_l, matrix_json, oracle_densities
 
@@ -66,6 +67,7 @@ COMPUTATION_ERRORS = (
     DegeneratePerronError,
     NotDivisibleError,
     GammaPoleError,
+    RoutingError,
 )
 
 

@@ -8,12 +8,24 @@ the medial lattice (the one of the six-vertex mapping, Baxter, Kelland and
 Wu 1976): a site with x+y even is entered from W or E and left N or S, a
 site with x+y odd is entered from S or N and left E or W.  So every loop
 carries one orientation, and the walk needs one state per bond: a site and
-which of its two entry sides.  The walk table sends each state to the next
-one along its loop; it is a permutation whose cycles are the loops, each
-exactly once.  The census labels those cycles in one C pass (scipy's
-strongly connected components) and counts each cycle's signed seam
-crossings with ``np.bincount``.  Each loop is classified by its winding
-numbers around the two cycles of the torus:
+which of its two entry sides.  The walk sends each state to the next one
+along its loop; it is a permutation whose cycles are the loops, each exactly
+once.
+
+The census does not walk every state.  Its steps alternate between
+horizontal and vertical, and a loop enters each row it visits by a vertical
+step into an x+y odd site.  Every loop visits two adjacent rows, so it meets
+S, the states of the x+y odd sites in the even rows: a quarter of all, L*h/2
+on a walked height h.  From S the walk is back in S after exactly four
+steps (horizontal, vertical, horizontal, vertical), and the census labels the
+cycles of that first-return map on S in one C pass (scipy's connected
+components).  The exit bits of the four steps give their displacement, so
+each cycle's windings are its summed half-displacements over L/2 and h/2,
+added with ``np.bincount``; a sum that is not such a multiple is a routing
+bug and is refused.  The walk table is certified once per lattice: a
+permutation whose steps alternate as above, so no loop can miss S and be
+left out of the count.  Each loop is classified by its winding numbers
+around the two cycles of the torus:
 
 * vertical winding != 0    -> torus artifact, counted separately and excluded
   from both densities (exponentially rare for H >> L),
@@ -44,9 +56,16 @@ from functools import lru_cache
 import numpy as np
 
 # bound on the 2*L*H bonds: the walk states (one per bond, two per bond at
-# odd H, where the double cover is walked) are indexed in int32, which the
-# cycle labelling needs, and this keeps them far inside it
+# odd H, where the double cover is walked) are indexed in int32, and this
+# keeps them far inside it; the return map whose cycles are labelled has a
+# quarter of them
 _MAX_BONDS = 1 << 27
+
+
+class RoutingError(RuntimeError):
+    """A census guard failed: the walk table, its return map or a cycle's
+    displacement does not route every bond onto exactly one counted loop, so
+    the loop counts would be wrong."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +85,8 @@ class MCConfig:
         if 2 * self.L * self.H >= _MAX_BONDS:
             raise ValueError(
                 f"lattice too large: 2*L*H = {2 * self.L * self.H} must be < 2^27 "
-                "for int32 indices of the 2*L*H walk states (4*L*H at odd H)"
+                "for int32 indices of the 2*L*H walk states (4*L*H at odd H), "
+                "a quarter of which carry the return map whose cycles are the loops"
             )
 
 
@@ -113,49 +133,85 @@ def _covers(H: int) -> int:
     return 1 + H % 2
 
 
-@lru_cache(maxsize=8)
-def _static_tables(L: int, H: int):
-    """Tile-independent walk data for an L x H torus, on its double cover
-    (height 2H) when H is odd.
-
-    Returns ``(ids, target, x_seam, y_seam)``.  A state is s = 2*site + b on
-    the walked lattice, site = y*L + x, with entry bit b: from W (0) or E (1)
-    at x+y even, from S (0) or N (1) at x+y odd.  ``target[2*site + c]`` is
-    the state entered on leaving the site by exit c: N (0) or S (1) at x+y
-    even, E (0) or W (1) at x+y odd.  Each tile t sends entry bit b to exit
-    b ^ t (tile 0 pairs (W,N)(S,E), tile 1 pairs (W,S)(N,E)), and the bit is
-    kept across the bond, so the successor of s is ``target[s ^ t]``.
-    ``ids`` is range(n + 1) over the n states, int32: its first n entries
-    index the states, one row per copy of the tiles, and all n + 1 are the
-    row pointers of the one-edge-per-state graph.
-
-    ``x_seam`` and ``y_seam`` are (forward, backward) pairs of the states
-    that a step enters by crossing that seam, forwards (+1) or backwards
-    (-1).  The orientation fixes each bond's direction: the x-seam is
-    crossed eastwards into column 0 at even y and westwards into column L-1
-    at odd y, the y-seam northwards into row 0 at odd x and southwards into
-    the top row at even x.  So the crossings do not depend on the tiles, and
-    the winding numbers of a loop are its signed seam crossings.
-    """
-    h = _covers(H) * H  # even, so the rows come in (even y, odd y) pairs
-    n = 2 * L * h
+def _row_pair_targets(L: int) -> np.ndarray:
+    """The targets of the 4L states of one row pair (y = 0, then y = 1),
+    relative to its first state: exit c of a site steps to y + 1 - 2c (N or S)
+    at x+y even, to x + 1 - 2c (E or W, mod L) at x+y odd, and keeps the bit.
+    Targets in row -1 or 2 lie in the neighbouring pairs."""
     y = np.arange(2, dtype=np.int32)[:, None, None]
     x = np.arange(L, dtype=np.int32)[None, :, None]
     exit_bit = np.arange(2, dtype=np.int32)
-    step = 1 - 2 * exit_bit  # exit 0 steps up in y or x, exit 1 down
+    step = 1 - 2 * exit_bit
     odd = (x + y) % 2
-    # targets of one row pair, relative to its first state; every pair
-    # repeats them, and the mod n wraps the y-seam
-    pair = 2 * ((y + step * (1 - odd)) * L + (x + step * odd) % L) + exit_bit
-    target = (np.arange(0, n, 4 * L, dtype=np.int32)[:, None] + pair.reshape(-1)).reshape(-1) % n
-    ids = np.arange(n + 1, dtype=np.int32)
-    ys = np.arange(0, h, 2, dtype=np.int32)
-    xs = np.arange(0, L, 2, dtype=np.int32)
-    x_seam = (2 * L * ys, 2 * (L * (ys + 1) + L - 1) + 1)
-    y_seam = (2 * (xs + 1), 2 * (L * (h - 1) + xs) + 1)
-    for a in (ids, target, *x_seam, *y_seam):  # cached and shared by every replica
+    return (2 * ((y + step * (1 - odd)) * L + (x + step * odd) % L) + exit_bit).reshape(-1)
+
+
+def _certify(target: np.ndarray, L: int, h: int):
+    """Refuse a walk table on which a loop could miss S or its exit bits
+    could misstate its displacement.
+
+    Every row pair repeats the targets of the first one, shifted by 4L
+    states per pair (mod n), so one pair decides whether the table is a
+    permutation: its targets must be distinct mod 4L.  The steps are checked
+    on the first and the last row pair, where the mod n wraps the y-seam:
+    each keeps its bit, an exit of an x+y odd site enters the x+y even site
+    one column over in its row, and an exit of an x+y even site enters the
+    x+y odd site one row over, in the direction that the bit gives.  So the
+    steps alternate between the two kinds of site, and every loop enters a
+    row by a vertical step in S.
+    """
+    period = 4 * L
+    if not np.array_equal(np.sort(target[:period] % period), np.arange(period)):
+        raise RoutingError("walk table is not a permutation")
+    src = np.r_[:period, target.size - period : target.size].astype(np.int32)
+    dst = target[src]
+    y, x = np.divmod(src >> 1, L)
+    to_y, to_x = np.divmod(dst >> 1, L)
+    bit = src & 1
+    step = 1 - 2 * bit
+    odd = (x + y) % 2 == 1
+    stepped = np.where(
+        odd,
+        (to_y == y) & ((to_x - x - step) % L == 0),
+        (to_x == x) & ((to_y - y - step) % h == 0),
+    )
+    bad = src[~(stepped & ((dst & 1) == bit))]
+    if bad.size:
+        raise RoutingError(f"walk table breaks the alternation of steps at state {bad[0]}")
+
+
+@lru_cache(maxsize=8)
+def _static_tables(L: int, H: int):
+    """Tile-independent walk data for an L x H torus, on its double cover
+    (height h = 2H) when H is odd, else h = H.
+
+    Returns ``(starts, target)``.  A state is s = 2*site + b on the walked
+    lattice, site = y*L + x, with entry bit b: from W (0) or E (1) at x+y
+    even, from S (0) or N (1) at x+y odd.  ``target[2*site + c]`` is the
+    state entered on leaving the site by exit c: N (0) or S (1) at x+y even,
+    E (0) or W (1) at x+y odd.  Each tile t sends entry bit b to exit b ^ t
+    (tile 0 pairs (W,N)(S,E), tile 1 pairs (W,S)(N,E)), and the bit is kept
+    across the bond, so the successor of s is ``target[s ^ t]``.  The table
+    is certified once here (see ``_certify``).
+
+    ``starts`` lists S, the L*h/2 states of the x+y odd sites in the even
+    rows (x odd), in increasing order: state 4*(L*y/2 + k) + 2 + b for x =
+    2k + 1 is S state L*y/2 + 2k + b.  Both are int32 and read-only, shared
+    by every replica.
+    """
+    h = _covers(H) * H  # even, so the rows come in (even y, odd y) pairs
+    n = 2 * L * h
+    # every row pair repeats the targets of the first, and the mod n wraps
+    # the y-seam
+    pairs = np.arange(0, n, 4 * L, dtype=np.int32)[:, None]
+    target = (pairs + _row_pair_targets(L)).reshape(-1) % n
+    _certify(target, L, h)
+    # S in each pair: x = 2k + 1 in its even row, both entry bits
+    in_pair = 4 * np.arange(L // 2, dtype=np.int32)[:, None] + 2 + np.arange(2, dtype=np.int32)
+    starts = (pairs + in_pair.reshape(-1)).reshape(-1)
+    for a in (starts, target):  # cached and shared by every replica
         a.flags.writeable = False
-    return ids, target, x_seam, y_seam
+    return starts, target
 
 
 def _sample_tiles(cfg: MCConfig, replica_index: int) -> np.ndarray:
@@ -164,52 +220,71 @@ def _sample_tiles(cfg: MCConfig, replica_index: int) -> np.ndarray:
     return rng.integers(0, 2, size=(cfg.H, cfg.L), dtype=np.int8)
 
 
-def walk_tables(cfg: MCConfig, tiles: np.ndarray) -> np.ndarray:
-    """The int32 successor of every oriented state for one tile configuration,
-    on the double cover at odd H."""
-    ids, target, _, _ = _static_tables(cfg.L, cfg.H)
-    states = ids[:-1].reshape(_covers(cfg.H), -1)
-    nxt = target[states ^ np.repeat(tiles.reshape(-1), 2)].reshape(-1)
-    # the state map must be a permutation or the cycles are not loops
-    hit = np.zeros(nxt.size, dtype=bool)
-    hit[nxt] = True
-    if not hit.all():
-        raise AssertionError("walk table is not a permutation (routing bug)")
-    return nxt
+def walk_tables(cfg: MCConfig, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first-return map on S for one tile configuration (on the double
+    cover at odd H), and the half-displacement of each of its steps.
+
+    From S the walk makes a horizontal, a vertical, a horizontal and a
+    vertical step, and is back in S.  Returns ``(ret, hx, hy)`` over the
+    L*h/2 states of S: ``ret[i]`` is the S index of the state four steps
+    after S state i, and with c1 .. c4 the exit bits of the four steps
+    (E or N for 0, W or S for 1), the steps move by 2*hx = 2*(1 - c1 - c3)
+    columns and 2*hy = 2*(1 - c2 - c4) rows.
+    """
+    starts, target = _static_tables(cfg.L, cfg.H)
+    t = np.tile(tiles.reshape(-1), _covers(cfg.H))
+    s = starts
+    bits = []
+    for _ in range(4):  # np.take: the fast gather for flat int indices
+        s = np.take(target, s ^ np.take(t, s >> 1))
+        bits.append(s & 1)  # the table keeps the exit bit
+    c1, c2, c3, c4 = bits
+    # S state 4*(L*p + k) + 2 + b of row pair p has S index L*p + 2k + b
+    ret = 2 * (s >> 2) + (s & 1) - cfg.L * (s // (4 * cfg.L))
+    # the walk is a permutation, so the return map must be one on S
+    hit = np.zeros(ret.size, dtype=bool)
+    hit[ret] = True
+    if not (hit.all() and np.array_equal(np.take(starts, ret), s)):
+        raise RoutingError("first-return map is not a permutation of S")
+    return ret, 1 - c1 - c3, 1 - c2 - c4
 
 
 def _loop_counts(cfg: MCConfig, tiles: np.ndarray) -> tuple[int, int, int, int]:
     """(contractible, non-contractible, vertically winding, all) loop counts.
 
-    The cycles of the permutation ``walk_tables(cfg, tiles)`` are the loops,
-    or at odd H their lifts to the double cover.  They are labelled as the
-    strongly connected components of the graph s -> nxt[s], and each label's
-    windings are its forward minus its backward seam crossings.  At odd H
-    every loop has two lifts (see the module docstring), so each class count
-    must be even and is halved.
+    Every loop meets S, and its steps from S to S are one cycle of the return
+    map ``walk_tables(cfg, tiles)``: the cycles are the loops, or at odd H
+    their lifts to the double cover.  They are labelled as the connected
+    components of the graph i -> ret[i], each one cycle as ret is a
+    permutation (weak components take less time than strong ones and are
+    the same here).  A cycle's half-displacements add up to L/2 times its
+    horizontal winding and h/2 times its vertical one; a sum that is not
+    such a multiple is refused.  At odd H every loop has two lifts (see the
+    module docstring), so each class count must be even and is halved.
     """
     # imported here, not at module level, so that `import loopdens` stays light
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    nxt = walk_tables(cfg, tiles)
-    ids, _, x_seam, y_seam = _static_tables(cfg.L, cfg.H)
-    n = nxt.size
-    graph = csr_matrix((np.ones(n), nxt, ids), shape=(n, n))
-    n_cycles, labels = connected_components(graph, directed=True, connection="strong")
-
-    def crossings(states):
-        return np.bincount(labels[states], minlength=n_cycles)
-
-    windx = crossings(x_seam[0]) - crossings(x_seam[1])
-    windy = crossings(y_seam[0]) - crossings(y_seam[1])
-    vertical = windy != 0
-    n_vert = int(np.count_nonzero(vertical))
-    n_nc = int(np.count_nonzero(~vertical & (windx != 0)))
-    lifts = (n_cycles - n_vert - n_nc, n_nc, n_vert)
+    ret, hx, hy = walk_tables(cfg, tiles)
+    m = ret.size
+    graph = csr_matrix((np.ones(m), ret, np.arange(m + 1, dtype=np.int32)), shape=(m, m))
+    n_cycles, labels = connected_components(graph, directed=True, connection="weak")
     covers = _covers(cfg.H)
+
+    def winds(half_steps, period, axis):
+        total = np.bincount(labels, weights=half_steps, minlength=n_cycles)
+        if np.any(total % period):
+            raise RoutingError(f"a cycle's {axis} displacement is not a multiple of the torus (routing bug)")
+        return total != 0
+
+    windx = winds(hx, cfg.L // 2, "horizontal")
+    vertical = winds(hy, covers * cfg.H // 2, "vertical")
+    n_vert = int(np.count_nonzero(vertical))
+    n_nc = int(np.count_nonzero(~vertical & windx))
+    lifts = (n_cycles - n_vert - n_nc, n_nc, n_vert)
     if any(c % covers for c in lifts):
-        raise AssertionError(f"lifts to the double cover do not pair (routing bug): {lifts}")
+        raise RoutingError(f"lifts to the double cover do not pair (routing bug): {lifts}")
     counts = tuple(c // covers for c in lifts)
     return (*counts, sum(counts))
 
@@ -217,9 +292,9 @@ def _loop_counts(cfg: MCConfig, tiles: np.ndarray) -> tuple[int, int, int, int]:
 def sample_lattice(cfg: MCConfig, replica_index: int) -> LoopCensus:
     """Sample one replica's tile array and classify every loop exactly once.
 
-    The permutation property of the walk table guarantees every bond lies on
-    exactly one loop, and every loop on exactly one cycle (at odd H, on two
-    cycles of the double cover).
+    The certified walk table guarantees that every bond lies on exactly one
+    loop and that every loop meets S, so each loop is exactly one cycle of
+    the return map (at odd H, two cycles of the double cover).
     """
     cfg.validate()
     n_c, n_nc, n_vert, n_loops = _loop_counts(cfg, _sample_tiles(cfg, replica_index))

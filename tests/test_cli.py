@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -146,6 +147,31 @@ def test_oracle_degenerate_perron_exits_1_with_one_stderr_line(monkeypatch, caps
     assert captured.err == "error: DegeneratePerronError: injected failure\n"
 
 
+@pytest.mark.parametrize("broken", ["template", "table"])
+def test_simulate_routing_error_exits_1_with_one_stderr_line(monkeypatch, capsys, broken):
+    # a broken row-pair template fails the certificate; a broken table that
+    # skips it fails the return-map check of the first replica
+    starts, target = montecarlo._static_tables(2, 20)
+    clear_cache = montecarlo._static_tables.cache_clear
+    if broken == "template":
+        template = montecarlo._row_pair_targets(2).copy()
+        template[1] = template[2]
+        monkeypatch.setattr(montecarlo, "_row_pair_targets", lambda L: template)
+        clear_cache()
+    else:
+        table = target.copy()
+        table[41] = table[42]
+        monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (starts, table))
+    try:
+        code = main(["simulate", "--l", "2", "--height", "20", "--replicas", "2", "--workers", "1"])
+    finally:
+        clear_cache()
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err.startswith("error: RoutingError: ") and captured.err.count("\n") == 1
+
+
 def test_oracle_match_and_guard(tmp_path):
     code, out = run_cli(["oracle", "--l", "2"])
     assert code == EXIT_OK and "EXACT-MATCH" in out and "1/8" in out
@@ -188,6 +214,25 @@ def test_simulate_pool_never_exceeds_the_replicas(monkeypatch, serial_pool, sour
         monkeypatch.setenv("LOOPDENS_THREADS", "5000")
     assert run_cli(argv) == serial
     assert serial_pool == [3]
+
+
+# the simulate JSON and exit code, pinned at even and odd H and one and two
+# workers: the census is exact, so a change to it may move no byte
+SIMULATE_SHA256 = [
+    (["--l", "2", "--height", "40", "--seed", "3", "--replicas", "4", "--workers", "1"], EXIT_FAIL,
+     "0734c7fcc6bc35f143e5660a8f7bb7b0fc63632f43a9673b39289942383af76f"),
+    (["--l", "4", "--height", "41", "--seed", "5", "--replicas", "3", "--workers", "2"], EXIT_OK,
+     "de461d4d955ab3c1165849dad72d19baf3191c2ec9edfee03c5abaf2dcd43785"),
+    (["--l", "6", "--height", "601", "--seed", "11", "--replicas", "4", "--workers", "2"], EXIT_OK,
+     "19ee6f298e073402a7b6ad6915c403907dc2deccf45c6e3f6b4ce96e3473bfdc"),
+]
+
+
+@pytest.mark.parametrize("args, exit_code, digest", SIMULATE_SHA256, ids=["l2-h40-w1", "l4-h41-w2", "l6-h601-w2"])
+def test_simulate_json_golden_hash(args, exit_code, digest):
+    code, out = run_cli(["simulate", *args])
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_height_guard():

@@ -16,6 +16,7 @@ from loopdens.closed_form import nu_c_exact, nu_nc_exact
 from loopdens import montecarlo
 from loopdens.montecarlo import (
     MCConfig,
+    RoutingError,
     _loop_counts,
     _sample_tiles,
     run,
@@ -244,21 +245,55 @@ def oriented_half(L, H):
 
 
 def test_walk_table_is_permutation():
-    # at odd H the walk runs on the double cover: the tiles stacked twice
+    # the return map is a permutation of S and is four steps of the walk, at
+    # odd H on the double cover: the tiles stacked twice
     L = 4
     for H in (60, 61):
         cfg = MCConfig(L=L, H=H, seed=2, replicas=1)
         tiles = _sample_tiles(cfg, 0)
-        nxt = walk_tables(cfg, tiles)
-        covers = 1 + H % 2
-        assert nxt.dtype == np.int32
-        assert sorted(nxt.tolist()) == list(range(2 * L * covers * H))
-        old_nxt = np.array(reference_walk_tables(L, covers * H, np.tile(tiles, (covers, 1)))[0])
-        embed = oriented_half(L, covers * H).reshape(-1)
-        in_half = np.zeros(old_nxt.size, dtype=bool)
-        in_half[embed] = True
-        assert in_half[old_nxt[embed]].all(), "the old walk leaves the oriented half"
-        assert (old_nxt[embed] == embed[nxt]).all()
+        ret, hx, hy = walk_tables(cfg, tiles)
+        h = (1 + H % 2) * H
+        assert ret.dtype == np.int32
+        assert sorted(ret.tolist()) == list(range(L * h // 2))
+        old_nxt = np.array(reference_walk_tables(L, h, np.tile(tiles, (h // H, 1)))[0])
+        embed = oriented_half(L, h).reshape(-1)
+        starts, _ = montecarlo._static_tables(L, H)
+        state = embed[starts]
+        dx = dy = 0
+        for _ in range(4):
+            step = old_nxt[state]
+            # the old index is 4*site + entry; a step moves one site, mod L or h
+            y0, x0 = np.divmod(state // 4, L)
+            y1, x1 = np.divmod(step // 4, L)
+            dx = dx + (x1 - x0 + 1) % L - 1
+            dy = dy + (y1 - y0 + 1) % h - 1
+            state = step
+        assert (state == embed[starts[ret]]).all()
+        assert (dx == 2 * hx).all() and (dy == 2 * hy).all()
+
+
+@pytest.fixture
+def fresh_static_tables():
+    """Clear the cache of the certified walk tables before and after, so a
+    patched template is certified and no table built from it stays cached."""
+    clear = montecarlo._static_tables.cache_clear  # a test may patch _static_tables
+    clear()
+    yield
+    clear()
+
+
+def tiled(template, L, h):
+    """The walk table that repeats one row pair's template over h rows."""
+    n = 2 * L * h
+    return (np.arange(0, n, 4 * L)[:, None] + template).reshape(-1) % n
+
+
+def test_certified_table_is_the_tiled_template():
+    for L, H in ((2, 20), (4, 21), (6, 1)):
+        h = (1 + H % 2) * H
+        _, target = montecarlo._static_tables(L, H)
+        assert (target == tiled(montecarlo._row_pair_targets(L), L, h)).all()
+        assert sorted(target.tolist()) == list(range(2 * L * h))
 
 
 HEIGHTS = {"10L": lambda L: 10 * L, "10L+1": lambda L: 10 * L + 1, "100L+1": lambda L: 100 * L + 1}
@@ -288,47 +323,110 @@ def test_cycle_census_matches_seam_tracer_on_crafted_tiles(L, odd):
     assert n_vert > 0 and n_nc > 0
 
 
-def test_census_refuses_a_table_that_is_not_a_permutation(monkeypatch):
+def test_census_refuses_a_table_that_is_not_a_permutation(monkeypatch, fresh_static_tables):
     cfg = MCConfig(L=2, H=20, seed=0, replicas=1)
-    ids, target, *seams = montecarlo._static_tables(2, 20)
+    starts, target = montecarlo._static_tables(2, 20)
+    # the per-replica check, on a table that skipped the certificate
     broken = target.copy()
     broken[41] = broken[42]
-    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (ids, broken, *seams))
-    with pytest.raises(AssertionError, match="not a permutation"):
+    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (starts, broken))
+    with pytest.raises(RoutingError, match="not a permutation of S"):
+        _loop_counts(cfg, _sample_tiles(cfg, 0))
+    monkeypatch.undo()
+    # the certificate, on a template that sends two states to one
+    template = montecarlo._row_pair_targets(2).copy()
+    template[1] = template[2]
+    monkeypatch.setattr(montecarlo, "_row_pair_targets", lambda L: template)
+    montecarlo._static_tables.cache_clear()
+    with pytest.raises(RoutingError, match="walk table is not a permutation"):
         _loop_counts(cfg, _sample_tiles(cfg, 0))
 
 
-# At H = 21 the census walks the 4 x 42 double cover.  Under all-0 tiles the
-# walk is the table itself, so the identity makes every state its own cycle:
-# 42 horizontal (the x-seam states), 4 vertical (the y-seam states) and 290
-# contractible, which fold to (145, 21, 2, 168).  Each swap joins two states
-# into one cycle and leaves that class with an odd number of lifts.
-UNPAIRED_LIFTS = [
-    (82, 83),  # contractible: site x=1, y=10, off both seams
-    (0, 16),  # horizontal: two eastward x-seam states, one cycle winding 2 in x
-    (2, 6),  # vertical: two northward y-seam states, one cycle winding 2 in y
-]
+def test_certificate_refuses_a_permutation_whose_cycles_miss_s(monkeypatch, fresh_static_tables):
+    # In the L = 4 template, state 0 (x = 0, y = 0, exit N) enters state 8
+    # (x = 0, y = 1, from S), which steps E into state 10.  Swapping their
+    # targets keeps the table a permutation, but makes state 8 of every row
+    # pair a cycle of its own under all-0 tiles: a loop in an odd row that
+    # never meets S, which the return map would leave out of the count.
+    L, H = 4, 40
+    template = montecarlo._row_pair_targets(L).copy()
+    assert (template[0], template[8]) == (8, 10)
+    template[[0, 8]] = template[[8, 0]]
+    table = tiled(template, L, H)
+    assert sorted(table.tolist()) == list(range(2 * L * H))
+    starts, _ = montecarlo._static_tables(L, H)
+    missed = np.arange(8, table.size, 4 * L)
+    assert (table[missed] == missed).all() and not np.isin(missed, starts).any()
+    monkeypatch.setattr(montecarlo, "_row_pair_targets", lambda L: template)
+    montecarlo._static_tables.cache_clear()
+    with pytest.raises(RoutingError, match="breaks the alternation of steps at state 0"):
+        montecarlo._static_tables(L, H)
+
+
+@pytest.mark.parametrize("L, axis", [(4, "horizontal"), (2, "vertical")])
+def test_census_refuses_displacements_that_do_not_close(monkeypatch, L, axis):
+    # the identity table makes every S state its own cycle, whose one step of
+    # half-displacement (1, 1) or (-1, -1) is no multiple of L/2 = 2 (L = 4),
+    # nor of h/2 = 20 (L = 2, where L/2 = 1 divides every x displacement)
+    cfg = MCConfig(L=L, H=40, seed=0, replicas=1)
+    starts, target = montecarlo._static_tables(L, 40)
+    identity = np.arange(target.size, dtype=np.int32)
+    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (starts, identity))
+    with pytest.raises(RoutingError, match=f"{axis} displacement"):
+        _loop_counts(cfg, np.zeros((40, L), dtype=np.int8))
+
+
+def cycle_labels(ret):
+    """The cycle of every S index under the return map, numbered in order of
+    their smallest index."""
+    labels = np.full(ret.size, -1)
+    count = 0
+    for i in range(ret.size):
+        while labels[i] < 0:
+            labels[i] = count
+            i = ret[i]
+        count += labels[i] == count
+    return labels
 
 
 def test_census_refuses_cycles_that_do_not_pair(monkeypatch):
-    cfg = MCConfig(L=4, H=21, seed=0, replicas=1)
-    ids, _, *seams = montecarlo._static_tables(4, 21)
-    identity = ids[:-1]
-    tiles = np.zeros((21, 4), dtype=np.int8)
-    monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (ids, identity, *seams))
-    assert _loop_counts(cfg, tiles) == (145, 21, 2, 168)
-    for a, b in UNPAIRED_LIFTS:
-        table = identity.copy()
+    # At H = 21 the census walks the 4 x 42 double cover, where every loop
+    # has two lifts.  Swapping the targets of the last steps of two S states
+    # on different cycles with equal windings (and equal bits, which the
+    # table keeps) joins the cycles into one of the same class, and leaves
+    # that class with an odd number of lifts.
+    L, H = 4, 21
+    cfg = MCConfig(L=L, H=H, seed=0, replicas=1)
+    starts, target = montecarlo._static_tables(L, H)
+    tiles = crafted_tiles(H, L)
+    for name, counts, windings in [
+        ("checkerboard", (40, 1, 0, 41), (0, 0)),
+        ("column stripes", (0, 21, 0, 21), (1, 0)),
+    ]:
+        assert _loop_counts(cfg, tiles[name]) == counts
+        ret, hx, hy = walk_tables(cfg, tiles[name])
+        labels = cycle_labels(ret)
+        wx = np.bincount(labels, hx) // (L // 2)
+        wy = np.bincount(labels, hy) // H
+        joinable = [i for i in range(ret.size) if (wx[labels[i]], wy[labels[i]]) == windings]
+        u = joinable[0]
+        # the parity of an S index is its state's bit
+        v = next(i for i in joinable if labels[i] != labels[u] and ret[i] % 2 == ret[u] % 2)
+        a, b = (int(np.flatnonzero(target == starts[ret[i]])[0]) for i in (u, v))
+        table = target.copy()
         table[[a, b]] = table[[b, a]]
-        monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (ids, table, *seams))
-        with pytest.raises(AssertionError, match="do not pair"):
-            _loop_counts(cfg, tiles)
+        monkeypatch.setattr(montecarlo, "_static_tables", lambda L, H: (starts, table))
+        with pytest.raises(RoutingError, match="do not pair"):
+            _loop_counts(cfg, tiles[name])
+        monkeypatch.undo()
 
 
 @st.composite
 def small_tori(draw):
-    L = draw(st.sampled_from([2, 4, 6, 8]))
-    H = draw(st.integers(min_value=1, max_value=15))
+    # odd H up to 31 as well: the census walks their double cover, and the
+    # windings are its summed half-steps over L/2 and H
+    L = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    H = draw(st.integers(min_value=1, max_value=15) | st.integers(min_value=8, max_value=15).map(lambda k: 2 * k + 1))
     return L, H, draw(st.lists(st.integers(0, 1), min_size=L * H, max_size=L * H))
 
 
@@ -356,6 +454,8 @@ def test_windings_have_the_parity_of_alternating_steps(torus):
 
 @settings(max_examples=200, deadline=None)
 @example(torus=EVEN_Q_AT_ODD_H)
+@example(torus=(12, 31, [0] * 12 * 31))
+@example(torus=(10, 29, [1] * 10 * 29))
 @given(torus=small_tori())
 def test_cycle_census_matches_seam_tracer_on_small_tori(torus):
     # _loop_counts directly: MCConfig.validate would refuse H < 10 L
