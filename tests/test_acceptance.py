@@ -172,5 +172,5 @@ def test_criterion_9_sixvertex():
     _report(
         "criterion 9: six-vertex Lambda_max = 2^L and phi-derivative",
         elapsed,
-        f"nu_nc fd error {rep4.nu_nc_error:.2e}",
+        f"nu_nc Hellmann-Feynman error {rep4.nu_nc_error:.2e}",
     )

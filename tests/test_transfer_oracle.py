@@ -309,18 +309,41 @@ def test_size_guards():
         oracle_densities(3)
 
 
-@pytest.mark.parametrize("L", [2, 4, 6])
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
 def test_sixvertex_stochastic_point(L):
     rep = sixvertex_check(L)
     assert rep.lambda_rel_error < 1e-9
     assert rep.phi_symmetry_error < 1e-9
+    # the Hellmann-Feynman derivative is exact up to rounding
+    assert rep.nu_nc_error < 1e-12
 
 
-def test_sixvertex_check_l10():
-    rep = sixvertex_check(10)
-    assert rep.lambda_rel_error < 1e-9
-    assert rep.phi_symmetry_error < 1e-9
-    assert rep.nu_nc_error < 1e-6
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_sixvertex_symmetry_check_sees_a_complex_lambda(monkeypatch, L):
+    # with A1 scaled by 1.05 Lambda(phi) is not real, so Lambda(-phi), its
+    # conjugate, differs from it
+    build = transfer_oracle.sixvertex_transfer
+    monkeypatch.setattr(
+        transfer_oracle, "sixvertex_transfer", lambda L: [(a0, 1.05 * a1) for a0, a1 in build(L)]
+    )
+    assert sixvertex_check(L).phi_symmetry_error > 1e-3
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_sixvertex_check_takes_lambda_over_every_sector(monkeypatch, L):
+    # sector L/2 - 1 boosted above 2^L: a check of sector L/2 alone would pass
+    build = transfer_oracle.sixvertex_transfer
+    u = cmath.exp(1j * math.pi / 3)
+
+    def boosted(L):
+        blocks = build(L)
+        a0, a1 = blocks[L // 2 - 1]
+        scale = 2 * 2**L / np.max(np.abs(np.linalg.eigvals(a0 / u + a1 * u)))
+        blocks[L // 2 - 1] = (scale * a0, scale * a1)
+        return blocks
+
+    monkeypatch.setattr(transfer_oracle, "sixvertex_transfer", boosted)
+    assert sixvertex_check(L).lambda_rel_error > 1e-3
 
 
 def test_sixvertex_fd_derivative_l4():
@@ -389,6 +412,16 @@ def test_sixvertex_check_builds_the_blocks_once(monkeypatch):
         return build(L)
 
     monkeypatch.setattr(transfer_oracle, "sixvertex_transfer", counted)
+    # one eig per sector block, one more for the winning block's left vector
+    eig = np.linalg.eig
+    eig_sizes = []
+
+    def counted_eig(a):
+        eig_sizes.append(len(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
     rep = sixvertex_check(6)
     assert calls == [6]
+    assert eig_sizes == [math.comb(6, k) for k in range(7)] + [math.comb(6, 3)]
     assert rep.lambda_rel_error < 1e-9
