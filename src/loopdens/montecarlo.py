@@ -329,11 +329,14 @@ def run(cfg: MCConfig, workers: int = 1) -> MCStats:
     The pool never holds more processes than there are replicas or usable
     CPUs: under fork every one of them starts up front.  The merge is
     replica-ordered, so the result is bit-identical for any worker count.
-    Needs at least two replicas: the stderr is pooled over them.
+    Needs at least two replicas, since the stderr is pooled over them, and at
+    least one worker.
     """
     cfg.validate()
     if cfg.replicas < 2:
         raise ValueError(f"run needs >= 2 replicas for a stderr, got {cfg.replicas}")
+    if workers < 1:
+        raise ValueError(f"run needs >= 1 worker, got {workers}")
     workers = min(workers, cfg.replicas, _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,15 +6,21 @@ line, augmented with one seam-crossing parity bit per chord (seam between
 positions L-1 and 0).  A loop is non-contractible exactly when it closes with
 odd total seam parity.
 
-One lattice row (L sites, each carrying one of the two unit-weight tiles)
-acts on these states as follows: reading the tile string around the row, each
-descent joins two adjacent strands from below (a cap), each ascent emits a
-fresh chord upward (a cup), and every remaining strand shifts one position
-sideways.  Caps, cups and shifts through the wrap bond toggle seam parity.
-Summing the 2^L tile strings with loop fugacities w (contractible) and v
-(non-contractible) gives the row transfer operator; its Perron eigenvalue at
-w = v = 1 is 2^L and the densities are first-order eigenvalue perturbations,
-evaluated in exact rational arithmetic.
+One lattice row (L sites, each carrying one of the two unit-weight tiles) is
+added one vertex at a time (the auxiliary-line transfer matrix of Bloete and
+Nightingale, Physica A 112 (1982) 405).  Two extra points ride along: h, the
+horizontal edge entering the next vertex, and the anchor a, the left edge of
+vertex 0, which start as one chord of parity 0.  Tile 0 at vertex k joins
+bottom-right and left-top, so it swaps the labels of k and h; tile 1 joins
+bottom-left and right-top, so it joins k with h (closing a loop when they
+are partners) and makes the two a fresh chord.  After vertex L-1, h joins a
+across the seam with one parity toggle, which can close one more loop.  Each
+vertex sends each intermediate state to two states and the seam join to one,
+so every state has 2^L row images, counted with multiplicity.  Weighting the
+closed loops with fugacities w (contractible) and v (non-contractible) gives
+the row transfer operator; its Perron eigenvalue at w = v = 1 is 2^L and the
+densities are first-order eigenvalue perturbations, evaluated in exact
+rational arithmetic.
 
 The basis is the closure of the nested pattern under the row operator.  The
 right Perron vector is a float64 solve rounded to integers and certified
@@ -74,6 +80,8 @@ class LinkState:
 
     def __post_init__(self):
         L = len(self.match)
+        if len(self.parity) != L or any(b not in (0, 1) for b in self.parity):
+            raise ValueError(f"parity {self.parity} must hold one bit per point of {self.match}")
         for i, j in enumerate(self.match):
             if not (0 <= j < L) or j == i or self.match[j] != i:
                 raise ValueError(f"match {self.match} is not a fixed-point-free involution")
@@ -86,72 +94,60 @@ class LinkState:
         return cls(tuple(L - 1 - i for i in range(L)), (0,) * L)
 
 
-def _row_diagrams(L: int):
-    """All 2^L single-row tile diagrams as (caps, shifts, cups).
+def _join(m, p, x, y, seam):
+    """Join points x and y of the extended lists (m, p) in place, the join
+    crossing the seam `seam` times; return (#contractible, #non-contractible)
+    closed.
 
-    Tile 0 routes a strand up-right, tile 1 up-left.  For the tile string t,
-    the bond between sites i and i+1 carries a cap when (t_i, t_{i+1}) = (0, 1)
-    and a cup when (1, 0); bond L-1 is the wrap bond (seam parity 1).
+    When x and y are partners their chord closes into a loop, non-contractible
+    when its parity is odd; otherwise their two partners become one chord with
+    the parities added.  x and y are left for the caller to re-pair or drop.
     """
-    diagrams = []
-    for mask in range(2 ** L):
-        t = [(mask >> i) & 1 for i in range(L)]
-        caps, cups = [], []
-        capped = [False] * L
-        for i in range(L):
-            j = (i + 1) % L
-            wrap = 1 if i == L - 1 else 0
-            if t[i] == 0 and t[j] == 1:
-                caps.append((i, j, wrap))
-                capped[i] = capped[j] = True
-            elif t[i] == 1 and t[j] == 0:
-                cups.append((i, j, wrap))
-        shifts = {}
-        for p in range(L):
-            if capped[p]:
-                continue
-            if t[p] == 0:
-                shifts[p] = ((p + 1) % L, 1 if p == L - 1 else 0)
-            else:
-                shifts[p] = ((p - 1) % L, 1 if p == 0 else 0)
-        diagrams.append((caps, shifts, cups))
-    return diagrams
+    if m[x] == y:
+        loop = p[x] ^ seam
+        return 1 - loop, loop
+    i, j = m[x], m[y]
+    m[i], m[j] = j, i
+    p[i] = p[j] = p[x] ^ p[y] ^ seam
+    return 0, 0
 
 
-def _apply_diagram(state, caps, shifts, cups):
-    """Apply one row diagram to a (match, parity) pair; returns (new pair,
-    #contractible, #non-contractible).
+def _row_images(state):
+    """Images of one (match, parity) pair under the 2^L lattice rows, as
+    {(image, #contractible, #non-contractible): number of rows}.
 
-    A cap on the two ends of one chord closes a loop, non-contractible when
-    its parity is odd; any other cap joins the two former partners.
+    The vertex rule of the module docstring, on the pair extended by h = L
+    and the anchor a = L + 1; equal intermediate states merge after every
+    vertex, and h and a are dropped after the seam join.
     """
-    match, par = map(list, state)
-    L = len(match)
-    n_c = n_nc = 0
-    for i, j, cap_parity in caps:
-        a, b = match[i], match[j]
-        loop_par = par[i] ^ cap_parity
-        if a == j:
-            n_nc += loop_par
-            n_c += 1 - loop_par
-        else:
-            match[a], match[b] = b, a
-            par[a] = par[b] = loop_par ^ par[j]
-        match[i] = match[j] = -1
-    out_match = [-1] * L
-    out_par = [0] * L
-    for p in range(L):
-        q = match[p]
-        if q == -1 or q < p:
-            continue
-        np_, t1 = shifts[p]
-        nq, t2 = shifts[q]
-        out_match[np_], out_match[nq] = nq, np_
-        out_par[np_] = out_par[nq] = par[p] ^ t1 ^ t2
-    for i, j, cup_parity in cups:
-        out_match[i], out_match[j] = j, i
-        out_par[i] = out_par[j] = cup_parity
-    return (tuple(out_match), tuple(out_par)), n_c, n_nc
+    match, par = state
+    L = h = len(match)
+    a = L + 1
+    layer = {(match + (a, h), par + (0, 0), 0, 0): 1}
+    for k in range(L):
+        nxt = {}
+        for (m, p, n_c, n_nc), rows in layer.items():
+            m0, p0 = list(m), list(p)  # tile 0: bottom-right, left-top
+            i, j = m[k], m[h]
+            if i != h:  # when k and h are partners the swap changes nothing
+                m0[k], m0[j], m0[h], m0[i] = j, k, i, h
+                p0[k], p0[h] = p[h], p[k]
+            m1, p1 = list(m), list(p)  # tile 1: bottom-left, right-top
+            c, nc = _join(m1, p1, k, h, 0)
+            m1[k], m1[h] = h, k
+            p1[k] = p1[h] = 0
+            tile0 = tuple(m0), tuple(p0), n_c, n_nc
+            tile1 = tuple(m1), tuple(p1), n_c + c, n_nc + nc
+            for key in tile0, tile1:
+                nxt[key] = nxt.get(key, 0) + rows
+        layer = nxt
+    images = {}
+    for (m, p, n_c, n_nc), rows in layer.items():
+        m, p = list(m), list(p)
+        c, nc = _join(m, p, h, a, 1)
+        key = (tuple(m[:L]), tuple(p[:L])), n_c + c, n_nc + nc
+        images[key] = images.get(key, 0) + rows
+    return images
 
 
 def enumerate_states(L: int) -> tuple:
@@ -183,44 +179,41 @@ class TransferMatrix:
 def row_transfer_matrix(L: int) -> TransferMatrix:
     """Build the exact row transfer operator on the link-pattern basis.
 
-    One breadth-first closure from the nested pattern under the 2^L row
-    diagrams finds the states as plain (match, parity) pairs and fills one
-    sparse cell per reached (out, in) pair; the pairs are then sorted and
-    each becomes one validated LinkState.
+    One breadth-first closure from the nested pattern, adding each state's
+    row images one vertex at a time, finds the states as plain (match,
+    parity) pairs and fills one sparse cell per reached (out, in) pair; the
+    pairs are then sorted and each becomes one validated LinkState.  The
+    column totals loops_c and loops_nc are read off the cells.
     """
     check_oracle_l(L)
-    diagrams = _row_diagrams(L)
     nested = LinkState.nested(L)
     found = {(nested.match, nested.parity): 0}
     order = list(found)
     cells = {}
-    closed = []
     for col, s in enumerate(order):  # order grows while it is walked
-        n_c_col = n_nc_col = 0
-        for caps, shifts, cups in diagrams:
-            out, n_c, n_nc = _apply_diagram(s, caps, shifts, cups)
+        for (out, n_c, n_nc), rows in _row_images(s).items():
             row = found.setdefault(out, len(order))
             if row == len(order):
                 order.append(out)
-            cell = cells.setdefault((row, col), {})
-            cell[n_c, n_nc] = cell.get((n_c, n_nc), 0) + 1
-            n_c_col += n_c
-            n_nc_col += n_nc
-        closed.append((n_c_col, n_nc_col))
+            cells.setdefault((row, col), {})[n_c, n_nc] = rows
     pairs = sorted(order)
     index = {s: k for k, s in enumerate(pairs)}
     pos = [index[s] for s in order]
     cells = {(pos[row], pos[col]): cell for (row, col), cell in cells.items()}
-    counts = [[0] * len(pairs) for _ in pairs]
+    n = len(pairs)
+    counts = [[0] * n for _ in pairs]
+    loops_c, loops_nc = [0] * n, [0] * n
     for (i, j), cell in cells.items():
         counts[i][j] = sum(cell.values())
+        loops_c[j] += sum(n_c * c for (n_c, _), c in cell.items())
+        loops_nc[j] += sum(n_nc * c for (_, n_nc), c in cell.items())
     return TransferMatrix(
         L=L,
         states=tuple(LinkState(*s) for s in pairs),
         cells=cells,
         counts=tuple(tuple(r) for r in counts),
-        loops_c=tuple(closed[found[s]][0] for s in pairs),
-        loops_nc=tuple(closed[found[s]][1] for s in pairs),
+        loops_c=tuple(loops_c),
+        loops_nc=tuple(loops_nc),
     )
 
 
@@ -241,9 +234,10 @@ def _reaches_all(adj) -> bool:
 def perron_eigenvectors(tm: TransferMatrix):
     """Exact left and right integer eigenvectors for the eigenvalue 2^L.
 
-    Each of the 2^L row diagrams sends every state to exactly one state, so
-    every column of counts sums to 2^L and the left vector is all-ones; the
-    column sums are checked, not assumed.  A breadth-first search over the
+    Each vertex step sends every intermediate state to exactly two states and
+    the seam join sends it to one, so each state has 2^L row images, every
+    column of counts sums to 2^L and the left vector is all-ones; the column
+    sums are checked, not assumed.  A breadth-first search over the
     non-zero entries, forwards and backwards, checks that the state graph is
     strongly connected.  Perron-Frobenius then makes 2^L, the spectral radius
     of the non-negative irreducible counts, a simple eigenvalue, and any

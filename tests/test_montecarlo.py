@@ -237,6 +237,14 @@ def test_run_needs_two_replicas():
         run(MCConfig(L=2, H=20, seed=1, replicas=1))
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_run_needs_a_worker(monkeypatch, workers):
+    # refused before any replica is sampled, as the CLI refuses --workers < 1
+    monkeypatch.setattr(montecarlo, "sample_lattice", lambda cfg, r: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=f"worker, got {workers}"):
+        run(MCConfig(L=2, H=20, seed=1, replicas=2), workers=workers)
+
+
 def oriented_half(L, H):
     """The old four-state index (4*site + entry, entry W, E, S, N) of every
     oriented state 2*site + b: W or E at x+y even, S or N at x+y odd."""

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -17,8 +18,7 @@ from loopdens.transfer_oracle import (
     ORACLE_MAX_L,
     DegeneratePerronError,
     LinkState,
-    _apply_diagram,
-    _row_diagrams,
+    TransferMatrix,
     enumerate_states,
     matrix_json,
     oracle_densities,
@@ -28,6 +28,113 @@ from loopdens.transfer_oracle import (
     sixvertex_check,
     sixvertex_transfer,
 )
+
+
+def _row_diagrams(L: int):
+    """All 2^L single-row tile diagrams as (caps, shifts, cups).
+
+    Tile 0 routes a strand up-right, tile 1 up-left.  For the tile string t,
+    the bond between sites i and i+1 carries a cap when (t_i, t_{i+1}) = (0, 1)
+    and a cup when (1, 0); bond L-1 is the wrap bond (seam parity 1).
+    """
+    diagrams = []
+    for mask in range(2 ** L):
+        t = [(mask >> i) & 1 for i in range(L)]
+        caps, cups = [], []
+        capped = [False] * L
+        for i in range(L):
+            j = (i + 1) % L
+            wrap = 1 if i == L - 1 else 0
+            if t[i] == 0 and t[j] == 1:
+                caps.append((i, j, wrap))
+                capped[i] = capped[j] = True
+            elif t[i] == 1 and t[j] == 0:
+                cups.append((i, j, wrap))
+        shifts = {}
+        for p in range(L):
+            if capped[p]:
+                continue
+            if t[p] == 0:
+                shifts[p] = ((p + 1) % L, 1 if p == L - 1 else 0)
+            else:
+                shifts[p] = ((p - 1) % L, 1 if p == 0 else 0)
+        diagrams.append((caps, shifts, cups))
+    return diagrams
+
+
+def _apply_diagram(state, caps, shifts, cups):
+    """Apply one row diagram to a (match, parity) pair; returns (new pair,
+    #contractible, #non-contractible).
+
+    A cap on the two ends of one chord closes a loop, non-contractible when
+    its parity is odd; any other cap joins the two former partners.
+    """
+    match, par = map(list, state)
+    L = len(match)
+    n_c = n_nc = 0
+    for i, j, cap_parity in caps:
+        a, b = match[i], match[j]
+        loop_par = par[i] ^ cap_parity
+        if a == j:
+            n_nc += loop_par
+            n_c += 1 - loop_par
+        else:
+            match[a], match[b] = b, a
+            par[a] = par[b] = loop_par ^ par[j]
+        match[i] = match[j] = -1
+    out_match = [-1] * L
+    out_par = [0] * L
+    for p in range(L):
+        q = match[p]
+        if q == -1 or q < p:
+            continue
+        np_, t1 = shifts[p]
+        nq, t2 = shifts[q]
+        out_match[np_], out_match[nq] = nq, np_
+        out_par[np_] = out_par[nq] = par[p] ^ t1 ^ t2
+    for i, j, cup_parity in cups:
+        out_match[i], out_match[j] = j, i
+        out_par[i] = out_par[j] = cup_parity
+    return (tuple(out_match), tuple(out_par)), n_c, n_nc
+
+
+@functools.cache
+def reference_transfer_matrix(L):
+    """Reference builder: the breadth-first closure under all 2^L row
+    diagrams, each applied to every state as a whole."""
+    diagrams = _row_diagrams(L)
+    nested = LinkState.nested(L)
+    found = {(nested.match, nested.parity): 0}
+    order = list(found)
+    cells = {}
+    closed = []
+    for col, s in enumerate(order):  # order grows while it is walked
+        n_c_col = n_nc_col = 0
+        for caps, shifts, cups in diagrams:
+            out, n_c, n_nc = _apply_diagram(s, caps, shifts, cups)
+            row = found.setdefault(out, len(order))
+            if row == len(order):
+                order.append(out)
+            cell = cells.setdefault((row, col), {})
+            cell[n_c, n_nc] = cell.get((n_c, n_nc), 0) + 1
+            n_c_col += n_c
+            n_nc_col += n_nc
+        closed.append((n_c_col, n_nc_col))
+    pairs = sorted(order)
+    index = {s: k for k, s in enumerate(pairs)}
+    pos = [index[s] for s in order]
+    cells = {(pos[row], pos[col]): cell for (row, col), cell in cells.items()}
+    counts = [[0] * len(pairs) for _ in pairs]
+    for (i, j), cell in cells.items():
+        counts[i][j] = sum(cell.values())
+    return TransferMatrix(
+        L=L,
+        states=tuple(LinkState(*s) for s in pairs),
+        cells=cells,
+        counts=tuple(tuple(r) for r in counts),
+        loops_c=tuple(closed[found[s]][0] for s in pairs),
+        loops_nc=tuple(closed[found[s]][1] for s in pairs),
+    )
 
 
 def twisted_vertex_tensor(L, phi):
@@ -71,6 +178,9 @@ def test_link_state_validation():
         LinkState((0, 1), (0, 0))  # fixed point
     with pytest.raises(ValueError):
         LinkState((1, 0), (0, 1))  # parity mismatch across a chord
+    for parity in [(0,), (0, 0, 5), (2, 2), (-1, -1)]:
+        with pytest.raises(ValueError, match="one bit per point"):
+            LinkState((1, 0), parity)  # one parity bit per point, each 0 or 1
     s = LinkState.nested(4)
     assert s.match == (3, 2, 1, 0)
 
@@ -130,12 +240,22 @@ def test_closure_builds_one_link_state_per_state(monkeypatch, fresh_row_transfer
 
 
 def test_closure_rejects_a_pair_that_is_not_an_involution(monkeypatch, fresh_row_transfer_matrix):
-    def broken(state, caps, shifts, cups):
-        return ((1, 1, 3, 2), (0, 0, 0, 0)), 0, 0
+    def broken(state):
+        return {(((1, 1, 3, 2), (0, 0, 0, 0)), 0, 0): 2**4}
 
-    monkeypatch.setattr(transfer_oracle, "_apply_diagram", broken)
+    monkeypatch.setattr(transfer_oracle, "_row_images", broken)
     with pytest.raises(ValueError, match="involution"):
         row_transfer_matrix(4)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
+def test_vertex_rule_matches_row_diagram_reference(L):
+    tm, ref = row_transfer_matrix(L), reference_transfer_matrix(L)
+    assert tm.states == ref.states
+    assert tm.cells == ref.cells
+    assert tm.counts == ref.counts
+    assert tm.loops_c == ref.loops_c
+    assert tm.loops_nc == ref.loops_nc
 
 
 def test_transfer_matrix_structure():
@@ -221,6 +341,17 @@ def test_perron_rejects_guess_that_does_not_round_exactly():
         perron_eigenvectors(bad)
 
 
+def half_turn_symmetric_asm_count(L):
+    """A_HT(L), the number of half-turn symmetric L x L alternating sign
+    matrices, from Kuperberg's product over i < n = L/2 of
+    (3i)! (3i+2)! / ((n+i)!)^2 (Ann. of Math. 156 (2002) 835)."""
+    n = L // 2
+    f = math.factorial
+    count = math.prod(Fraction(f(3 * i) * f(3 * i + 2), f(n + i) ** 2) for i in range(n))
+    assert count.denominator == 1
+    return count.numerator
+
+
 @pytest.mark.parametrize(
     "L, total", [(2, 2), (4, 10), (6, 140), (8, 5544), (10, 622908)]
 )
@@ -228,9 +359,10 @@ def test_perron_vector_sums_to_half_turn_symmetric_asm_count(L, total):
     # Razumov-Stroganov sum rule for the periodic chain: with smallest entry 1
     # the ground state sums to A_HT(L) (Batchelor, de Gier and Nienhuis,
     # J. Phys. A 34, 2001; proved by Di Francesco and Zinn-Justin, 2005)
+    assert half_turn_symmetric_asm_count(L) == total
     _, right = perron_eigenvectors(row_transfer_matrix(L))
     assert min(right) == 1
-    assert sum(right) == total
+    assert sum(right) == half_turn_symmetric_asm_count(L)
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
