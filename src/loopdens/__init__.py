@@ -6,16 +6,9 @@ link-pattern transfer-matrix oracle, a numeric six-vertex cross-check and a
 Monte Carlo estimator.
 """
 
-from .closed_form import (
-    DensityRecord,
-    density_record,
-    density_table,
-    nu_c_asymptotic,
-    nu_c_exact,
-    nu_nc_asymptotic,
-    nu_nc_exact,
-)
-from .cyclotomic import Cyclotomic, CycPoly, Rational, gamma_ratio, pochhammer
+from .closed_form import DensityRecord, density_record, nu_c_exact, nu_nc_exact
+from .cyclotomic import Cyclotomic, CycPoly, gamma_ratio, pochhammer
+from .errors import ComputationError
 from .fsz import (
     KUMMER_SHIFTS,
     DerivativeBundle,
@@ -24,25 +17,18 @@ from .fsz import (
     build_fsz,
     densities_via_tq,
     fq_fp_closed_eval,
-    hyp2f1_terminating,
     kummer_contiguous,
     quantity_a,
     quantity_c,
-    tq_density_record,
 )
 from .montecarlo import LoopCensus, MCConfig, MCStats, run, sample_lattice
 from .tq_identities import verify_suite, verify_t_form, verify_tq_tp, verify_wronskian
-from .transfer_oracle import (
-    LinkState,
-    enumerate_states,
-    oracle_densities,
-    row_transfer_matrix,
-    sixvertex_check,
-)
+from .transfer_oracle import LinkState, oracle_densities, row_transfer_matrix, sixvertex_check
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ComputationError",
     "Cyclotomic",
     "CycPoly",
     "DensityRecord",
@@ -53,20 +39,14 @@ __all__ = [
     "LoopCensus",
     "MCConfig",
     "MCStats",
-    "Rational",
     "bethe_residual",
     "build_fsz",
     "densities_via_tq",
     "density_record",
-    "density_table",
-    "enumerate_states",
     "fq_fp_closed_eval",
     "gamma_ratio",
-    "hyp2f1_terminating",
     "kummer_contiguous",
-    "nu_c_asymptotic",
     "nu_c_exact",
-    "nu_nc_asymptotic",
     "nu_nc_exact",
     "oracle_densities",
     "pochhammer",
@@ -76,7 +56,6 @@ __all__ = [
     "run",
     "sample_lattice",
     "sixvertex_check",
-    "tq_density_record",
     "verify_suite",
     "verify_t_form",
     "verify_tq_tp",

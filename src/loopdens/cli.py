@@ -3,11 +3,10 @@ Monte Carlo runs and asymptotic residual streams.
 
 Exit-code contract: 0 = success / all checks pass, 1 = a verification or
 statistical gate failed, 2 = usage or validation error.  A computation that
-cannot finish (RouteMismatchError, RootConvergenceError, DegeneratePerronError,
-NotDivisibleError, GammaPoleError or RoutingError) also exits 1, with the
-single stderr line "error: <Class>: <message>" and no traceback; `verify`,
-`oracle` and `simulate`, which can raise them, compute everything before they
-write, so stdout stays empty.
+cannot finish raises a subclass of loopdens.errors.ComputationError and also
+exits 1, with the single stderr line "error: <Class>: <message>" and no
+traceback; `verify`, `oracle` and `simulate`, which can raise one, compute
+everything before they write, so stdout stays empty.
 All exact rationals are emitted as separate numerator/denominator fields so
 they round-trip losslessly; every command is deterministic given its flags.
 """
@@ -20,7 +19,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 
 import mpmath as mp
@@ -32,19 +30,17 @@ from .closed_form import (
     asymptotic_residual,
     residual_scale_power,
 )
-from .cyclotomic import GammaPoleError, NotDivisibleError
+from .errors import ComputationError
 from .fsz import (
     KUMMER_SHIFTS,
-    RootConvergenceError,
-    RouteMismatchError,
     kummer_contiguous,
     kummer_contiguous_numeric,
     hyp2f1_at_minus_one,
     kummer_parameter_sweep,
 )
-from .montecarlo import MCConfig, RoutingError, run as mc_run, stats_payload
+from .montecarlo import MCConfig, run as mc_run, stats_payload
 from .tq_identities import FSZ_IDENTITIES, VerifyResult, verify_suite
-from .transfer_oracle import DegeneratePerronError, check_oracle_l, matrix_json, oracle_densities
+from .transfer_oracle import check_oracle_l, matrix_json, oracle_densities
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,16 +55,6 @@ DENSITY_MAX_L = 100_000
 # that of a standard normal beyond 4 sigma, i.e. |z| < 4 for the normal z of
 # the same tail.
 Z4_TAIL = math.erfc(4 / math.sqrt(2))
-
-# Failures of an exact or numeric computation: exit 1 with a one-line message.
-COMPUTATION_ERRORS = (
-    RouteMismatchError,
-    RootConvergenceError,
-    DegeneratePerronError,
-    NotDivisibleError,
-    GammaPoleError,
-    RoutingError,
-)
 
 
 def _parse_l_values(args) -> list[int]:
@@ -226,21 +212,6 @@ def cmd_oracle(args, out) -> int:
     return EXIT_OK if match else EXIT_FAIL
 
 
-def _worker_count(args) -> int:
-    if args.workers is not None:
-        workers, source = args.workers, "--workers"
-    else:
-        raw = os.environ.get("LOOPDENS_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise SystemExit2(f"LOOPDENS_THREADS must be an integer, got {raw!r}")
-        source = "LOOPDENS_THREADS"
-    if workers < 1:
-        raise SystemExit2(f"{source} must be >= 1, got {workers}")
-    return workers
-
-
 def _t_within_z4(t: float, dof: int) -> bool:
     """True when the two-sided Student-t tail P(|T| >= |t|) at `dof` degrees
     of freedom exceeds Z4_TAIL."""
@@ -257,8 +228,9 @@ def cmd_simulate(args, out) -> int:
         cfg.validate()
     except ValueError as exc:
         raise SystemExit2(str(exc))
-    workers = _worker_count(args)
-    stats = mc_run(cfg, workers=workers)
+    if args.workers < 1:
+        raise SystemExit2(f"--workers must be >= 1, got {args.workers}")
+    stats = mc_run(cfg, workers=args.workers)
     payload = stats_payload(stats, float(nu_c_exact(cfg.L // 2)), float(nu_nc_exact(cfg.L // 2)))
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     z = (payload["z_nu_c"], payload["z_nu_nc"])
@@ -332,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--height", type=int, required=True)
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--replicas", type=int, default=16)
-    s.add_argument("--workers", type=int, default=None, help="process count (default: $LOOPDENS_THREADS or 1)")
+    s.add_argument("--workers", type=int, default=1, help="process count")
     s.set_defaults(func=cmd_simulate)
 
     a = sub.add_parser("asymptote", help="exact-vs-series residual CSV stream")
@@ -357,7 +329,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except COMPUTATION_ERRORS as exc:
+    except ComputationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -14,8 +14,8 @@ returns (R - 3/R)/(4N), each as one Fraction built from a fixed number of
 big-integer operations.  The paper's forms in factorials and Pochhammer
 symbols are the test reference (``tests/test_closed_form.py``); the
 equivalent gamma-function forms are kept as a floating-point cross-check, and
-the large-L asymptotic series are provided together with high-precision
-residual helpers used by the verification suite.
+the large-L asymptotic series are summed in mpmath only inside the
+high-precision residual helpers behind ``loopdens asymptote``.
 """
 
 from __future__ import annotations
@@ -27,17 +27,12 @@ from fractions import Fraction
 import mpmath as mp
 
 METHOD_CLOSED_FORM = "closed_form"
-METHOD_FSZ_DERIVATIVE = "fsz_derivative"
 METHOD_TRANSFER_ORACLE = "transfer_oracle"
 
 # mpmath working precision, in decimal digits, of the gamma forms and of the
 # asymptotic residuals
 _GAMMA_DPS = 50
 _RESIDUAL_DPS = 60
-
-# leading asymptotic constants
-NU_C_LIMIT = (3.0 * math.sqrt(3.0) - 5.0) / 2.0
-NU_NC_LEADING = 1.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -136,43 +131,26 @@ def _series(kind: str, order: int):
     return limit, coeffs[: order + 1], first
 
 
-def _series_sum(kind: str, N: int, order: int, num, s3):
-    """Large-L series of `kind` at circumference 2N, truncated after `order`
-    corrections, in the arithmetic of `num` (which converts a Fraction) with
-    `s3` = sqrt(3) in that arithmetic, so floats and mpmath share one sum."""
-    (root, rational), coeffs, first = _series(kind, order)
-    total = num(root) * s3 + num(rational)
-    for k, c in enumerate(coeffs):
-        total += num(c) / s3 * num(Fraction(2 * N)) ** (-2 * (first + k))
-    return total
-
-
-def nu_c_asymptotic(N: int, order: int) -> float:
-    """Partial sum of the large-L series for nu_c, truncated after `order` corrections."""
-    _check_n(N)
-    return _series_sum("nu_c", N, order, float, math.sqrt(3.0))
-
-
-def nu_nc_asymptotic(N: int, order: int) -> float:
-    """Partial sum of the large-L series for nu_nc; order 0 is the leading term."""
-    _check_n(N)
-    return _series_sum("nu_nc", N, order, float, math.sqrt(3.0))
-
-
 def _mp_exact(value: Fraction):
     return mp.mpf(value.numerator) / mp.mpf(value.denominator)
 
 
 def asymptotic_residual(kind: str, N: int, order: int):
-    """(exact, series, residual) as floats computed at _RESIDUAL_DPS digits.
+    """(exact, series, residual) as floats computed at _RESIDUAL_DPS digits,
+    the series being that of `kind` at circumference 2N, truncated after
+    `order` corrections.
 
     The residuals decay like (2N)^(-2(order+1)) for nu_c and (2N)^(-2(order+2))
     for nu_nc, far below double precision relative to the exact values at large
     N, so the difference is taken in mpmath before rounding to float.
     """
     _check_n(N)
+    (root, rational), coeffs, first = _series(kind, order)
     with mp.workdps(_RESIDUAL_DPS):
-        series = _series_sum(kind, N, order, _mp_exact, mp.sqrt(3))
+        s3 = mp.sqrt(3)
+        series = _mp_exact(root) * s3 + _mp_exact(rational)
+        for k, c in enumerate(coeffs):
+            series += _mp_exact(c) / s3 * mp.mpf(2 * N) ** (-2 * (first + k))
         # looked up by name at each call, not held in _SERIES
         exact = _mp_exact((nu_c_exact if kind == "nu_c" else nu_nc_exact)(N))
         residual = exact - series
@@ -205,9 +183,3 @@ def make_record(N: int, nu_c: Fraction, nu_nc: Fraction, method: str) -> Density
 
 def density_record(N: int) -> DensityRecord:
     return make_record(N, nu_c_exact(N), nu_nc_exact(N), METHOD_CLOSED_FORM)
-
-
-def density_table(N_max: int) -> list[DensityRecord]:
-    """Closed-form records for N = 1..N_max, in order."""
-    _check_n(N_max)
-    return [density_record(N) for N in range(1, N_max + 1)]

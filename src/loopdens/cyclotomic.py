@@ -13,17 +13,17 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-Rational = Fraction
+from .errors import ComputationError
 
 # complex value of the basis element w = exp(i*pi/3)
 _OMEGA_COMPLEX = complex(0.5, math.sqrt(3.0) / 2.0)
 
 
-class GammaPoleError(ArithmeticError):
+class GammaPoleError(ComputationError, ArithmeticError):
     """A gamma-function argument hit a nonpositive integer."""
 
 
-class NotDivisibleError(ArithmeticError):
+class NotDivisibleError(ComputationError, ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
     def __init__(self, message, remainder=None):

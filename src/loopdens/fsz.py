@@ -19,33 +19,26 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .closed_form import (
-    DensityRecord,
-    METHOD_FSZ_DERIVATIVE,
-    _check_n,
-    make_record,
-    nu_c_exact,
-    nu_nc_exact,
-)
+from .closed_form import _check_n, nu_c_exact, nu_nc_exact
 from .cyclotomic import (
     Cyclotomic,
     CycPoly,
     GammaPoleError,
     I_SQRT3,
     ONE,
-    Rational,
     gamma_ratio,
     is_nonpositive_integer,
     pochhammer,
     q_power,
 )
+from .errors import ComputationError
 
 
-class RouteMismatchError(ArithmeticError):
+class RouteMismatchError(ComputationError, ArithmeticError):
     """Two independently coded evaluation routes disagree."""
 
 
-class RootConvergenceError(ArithmeticError):
+class RootConvergenceError(ComputationError, ArithmeticError):
     """Numeric root extraction failed to converge for a Bethe root."""
 
     def __init__(self, message, root_index=None):
@@ -79,8 +72,8 @@ class DerivativeBundle:
     c_value: Cyclotomic
     dln_t_dq: Cyclotomic
     dln_t_dphi_over_sqrt3: Cyclotomic
-    nu_c: Rational
-    nu_nc: Rational
+    nu_c: Fraction
+    nu_nc: Fraction
 
 
 def _series_coeffs(a, b, c) -> list[Fraction]:
@@ -98,20 +91,6 @@ def _series_coeffs(a, b, c) -> list[Fraction]:
             raise GammaPoleError(f"(c)_k vanished at c = {c}, k = {k + 1}")
         coeffs.append(coeffs[-1] * ((a + k) * (b + k) / ((c + k) * (k + 1))))
     return coeffs
-
-
-def hyp2f1_terminating(a, b, c, t) -> Cyclotomic:
-    """2F1(a, b; c; t) for nonpositive-integer b, summed exactly by Horner's rule.
-
-    The series has -b + 1 terms.  Refuses what _series_coeffs refuses.
-    """
-    coeffs = _series_coeffs(a, b, c)
-    if not isinstance(t, Cyclotomic):
-        t = Fraction(t)  # a rational series stays in Q until the end
-    total = Fraction(0)
-    for coef in reversed(coeffs):
-        total = total * t + coef
-    return total if isinstance(total, Cyclotomic) else Cyclotomic(total)
 
 
 def _series_poly_in_x(a: Fraction, b: Fraction, c: Fraction) -> CycPoly:
@@ -338,12 +317,6 @@ def densities_from_solution(sol: FszSolution) -> DerivativeBundle:
         nu_c=nu_c,
         nu_nc=nu_nc,
     )
-
-
-def tq_density_record(N: int) -> DensityRecord:
-    """Density record computed through the T-Q derivative route."""
-    bundle = densities_via_tq(N)
-    return make_record(N, bundle.nu_c, bundle.nu_nc, METHOD_FSZ_DERIVATIVE)
 
 
 # -- Bethe-equation residual check -------------------------------------------

@@ -55,6 +55,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ComputationError
+
 # bound on the 2*L*H bonds: the walk states (one per bond, two per bond at
 # odd H, where the double cover is walked) are indexed in int32, and this
 # keeps them far inside it; the return map whose cycles are labelled has a
@@ -62,7 +64,7 @@ import numpy as np
 _MAX_BONDS = 1 << 27
 
 
-class RoutingError(RuntimeError):
+class RoutingError(ComputationError, RuntimeError):
     """A census guard failed: the walk table, its return map or a cycle's
     displacement does not route every bond onto exactly one counted loop, so
     the loop counts would be wrong."""
@@ -82,6 +84,9 @@ class MCConfig:
             raise ValueError(f"H must be >= 10*L = {10 * self.L}, got {self.H}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
+        # Philox takes the seed as a 64-bit word: a wider range would alias
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed must satisfy -2^63 <= seed < 2^63, got {self.seed}")
         if 2 * self.L * self.H >= _MAX_BONDS:
             raise ValueError(
                 f"lattice too large: 2*L*H = {2 * self.L * self.H} must be < 2^27 "

@@ -51,12 +51,13 @@ from .closed_form import (
     make_record,
     nu_nc_exact,
 )
+from .errors import ComputationError
 
 # Largest circumference the exact oracle and the six-vertex check accept.
 ORACLE_MAX_L = 10
 
 
-class DegeneratePerronError(ArithmeticError):
+class DegeneratePerronError(ComputationError, ArithmeticError):
     """The eigenvalue 2^L is not a simple eigenvalue with the all-ones left
     vector and a verified right vector."""
 
@@ -150,11 +151,6 @@ def _row_images(state):
     return images
 
 
-def enumerate_states(L: int) -> tuple:
-    """Link states reachable from the nested pattern under the row operator."""
-    return row_transfer_matrix(L).states
-
-
 @dataclass(frozen=True)
 class TransferMatrix:
     """Row transfer operator with loop-closure bookkeeping.
@@ -231,13 +227,14 @@ def _reaches_all(adj) -> bool:
     return len(seen) == len(succ)
 
 
-def perron_eigenvectors(tm: TransferMatrix):
-    """Exact left and right integer eigenvectors for the eigenvalue 2^L.
+def perron_eigenvectors(tm: TransferMatrix) -> list[int]:
+    """The exact right integer eigenvector for the eigenvalue 2^L.
 
     Each vertex step sends every intermediate state to exactly two states and
     the seam join sends it to one, so each state has 2^L row images, every
     column of counts sums to 2^L and the left vector is all-ones; the column
-    sums are checked, not assumed.  A breadth-first search over the
+    sums are checked, not assumed, so the left vector is certified and not
+    returned.  A breadth-first search over the
     non-zero entries, forwards and backwards, checks that the state graph is
     strongly connected.  Perron-Frobenius then makes 2^L, the spectral radius
     of the non-negative irreducible counts, a simple eigenvalue, and any
@@ -266,7 +263,7 @@ def perron_eigenvectors(tm: TransferMatrix):
     r = [round(x) for x in guess / guess.min()]
     if any(sum(x * y for x, y in zip(row, r)) != lam * ri for row, ri in zip(tm.counts, r)):
         raise DegeneratePerronError(f"L={tm.L}: rounded float guess fails counts . r = {lam} r")
-    return [1] * n, r
+    return r
 
 
 def oracle_densities(L: int) -> DensityRecord:
@@ -279,7 +276,7 @@ def oracle_densities(L: int) -> DensityRecord:
     """
     check_oracle_l(L)
     tm = row_transfer_matrix(L)
-    _, right = perron_eigenvectors(tm)
+    right = perron_eigenvectors(tm)
     scale = 2 ** L * sum(right) * L
     nu_c = Fraction(sum(x * y for x, y in zip(tm.loops_c, right)), scale)
     nu_nc = Fraction(sum(x * y for x, y in zip(tm.loops_nc, right)), scale)

@@ -3,10 +3,12 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,8 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopdens import cli, cyclotomic, fsz, montecarlo, tq_identities, transfer_oracle
+import loopdens
+from loopdens import cli, montecarlo, tq_identities, transfer_oracle
 from loopdens.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from loopdens.errors import ComputationError
 from loopdens.fsz import KUMMER_SHIFTS, kummer_parameter_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -112,13 +116,21 @@ def test_kummer_rows_run_each_route_once_per_distinct_pair(monkeypatch):
     assert len(calls["series"]) == len(series) and set(calls["series"]) == series
 
 
-COMPUTATION_ERRORS = [
-    fsz.RouteMismatchError,
-    fsz.RootConvergenceError,
-    transfer_oracle.DegeneratePerronError,
-    cyclotomic.NotDivisibleError,
-    cyclotomic.GammaPoleError,
-]
+# every module imported, so that ComputationError.__subclasses__() lists the
+# error of every route, a future one included
+for _module in pkgutil.iter_modules(loopdens.__path__):
+    importlib.import_module(f"loopdens.{_module.name}")
+
+# the standard base each computation error keeps beside ComputationError, so
+# that `except ArithmeticError` and `except RuntimeError` still catch it
+STANDARD_BASES = {
+    "GammaPoleError": ArithmeticError,
+    "NotDivisibleError": ArithmeticError,
+    "RouteMismatchError": ArithmeticError,
+    "RootConvergenceError": ArithmeticError,
+    "DegeneratePerronError": ArithmeticError,
+    "RoutingError": RuntimeError,
+}
 
 
 def _raise(error):
@@ -128,7 +140,11 @@ def _raise(error):
     return broken
 
 
-@pytest.mark.parametrize("error", COMPUTATION_ERRORS, ids=lambda e: e.__name__)
+def test_every_computation_error_derives_from_the_one_base():
+    assert {e.__name__ for e in ComputationError.__subclasses__()} >= STANDARD_BASES.keys()
+
+
+@pytest.mark.parametrize("error", ComputationError.__subclasses__(), ids=lambda e: e.__name__)
 def test_verify_computation_error_exits_1_with_one_stderr_line(monkeypatch, capsys, error):
     monkeypatch.setattr(tq_identities, "build_fsz", _raise(error))
     code = main(["verify", "all", "--n-max", "2", "--format", "json"])
@@ -136,6 +152,13 @@ def test_verify_computation_error_exits_1_with_one_stderr_line(monkeypatch, caps
     assert code == EXIT_FAIL
     assert captured.out == ""
     assert captured.err == f"error: {error.__name__}: injected failure\n"
+    assert isinstance(error("injected failure"), STANDARD_BASES.get(error.__name__, Exception))
+
+
+def test_an_error_outside_the_family_is_not_a_clean_exit_1(monkeypatch):
+    monkeypatch.setattr(tq_identities, "build_fsz", _raise(ZeroDivisionError))
+    with pytest.raises(ZeroDivisionError, match="injected failure"):
+        main(["verify", "all", "--n-max", "2", "--format", "json"])
 
 
 def test_oracle_degenerate_perron_exits_1_with_one_stderr_line(monkeypatch, capsys):
@@ -203,16 +226,12 @@ def test_simulate_small_and_deterministic():
     assert abs(payload["z_nu_c"]) < 4
 
 
-@pytest.mark.parametrize("source", ["--workers", "LOOPDENS_THREADS"])
+@pytest.mark.parametrize("source", ["--workers"])
 def test_simulate_pool_never_exceeds_the_replicas(monkeypatch, serial_pool, source):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
     argv = ["simulate", "--l", "2", "--height", "2000", "--seed", "7", "--replicas", "3"]
-    serial = run_cli(argv + ["--workers", "1"])
-    if source == "--workers":
-        argv += ["--workers", "5000"]
-    else:
-        monkeypatch.setenv("LOOPDENS_THREADS", "5000")
-    assert run_cli(argv) == serial
+    serial = run_cli(argv + [source, "1"])
+    assert run_cli(argv + [source, "5000"]) == serial
     assert serial_pool == [3]
 
 
@@ -298,6 +317,35 @@ def test_simulate_one_replica_is_usage_error():
     assert_contract(run_cli_process(SIM_SMALL + ["--replicas", "1"]), EXIT_USAGE)
 
 
+def test_simulate_workers_default_to_one():
+    assert cli.build_parser().parse_args(SIM_SMALL).workers == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_bad_workers_is_usage_error(capsys, workers):
+    code, out = run_cli(SIM_SMALL + ["--replicas", "2", "--workers", workers])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+
+
+SIM_SEED = ["simulate", "--l", "4", "--height", "400", "--replicas", "2"]
+
+
+# both ends of the 64-bit range, one past each, and the pair 1, 2^64 + 1,
+# whose low 64 bits, and so whose Philox samples, are the same
+@pytest.mark.parametrize(
+    "seed, valid",
+    [(-(2**63), True), (2**63 - 1, True), (-(2**63) - 1, False), (2**63, False), (1, True), (2**64 + 1, False)],
+)
+def test_simulate_seed_bounds(capsys, seed, valid):
+    code, out = run_cli(SIM_SEED + [f"--seed={seed}"])
+    if valid:
+        assert code in (EXIT_OK, EXIT_FAIL) and json.loads(out)["seed"] == seed
+    else:
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: seed must satisfy")
+
+
 def test_simulate_zero_stderr_gives_null_z_and_fails():
     payload = assert_contract(run_cli_process(SIM_SMALL + ["--replicas", "2"]), EXIT_FAIL)
     assert 0.0 in (payload["stderr_nu_c"], payload["stderr_nu_nc"])
@@ -323,13 +371,6 @@ def test_simulate_gate_compares_the_student_t_tail_with_4_sigma(t, dof, ok):
     # the reference tail decides on which side of erfc(4 / sqrt 2) t lies
     assert (2 * stats.t.sf(abs(t), dof) > cli.Z4_TAIL) == ok
     assert cli._t_within_z4(t, dof) == ok
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-def test_simulate_bad_loopdens_threads_is_usage_error(threads):
-    proc = run_cli_process(SIM_SMALL + ["--replicas", "2"], env={"LOOPDENS_THREADS": threads})
-    assert_contract(proc, EXIT_USAGE)
-    assert "LOOPDENS_THREADS" in proc.stderr
 
 
 def test_oracle_unwritable_dump_is_usage_error(tmp_path):

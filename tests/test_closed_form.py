@@ -8,14 +8,10 @@ import pytest
 
 from loopdens.closed_form import (
     METHOD_CLOSED_FORM,
-    NU_C_LIMIT,
-    NU_NC_LEADING,
     asymptotic_residual,
-    density_table,
-    nu_c_asymptotic,
+    density_record,
     nu_c_exact,
     nu_c_gamma_form,
-    nu_nc_asymptotic,
     nu_nc_exact,
     nu_nc_gamma_form,
     _binomial_ratio,
@@ -112,19 +108,29 @@ def test_gamma_form_agrees(n):
     assert abs(nu_nc_gamma_form(n) - float(nu_nc_exact(n))) < 1e-10
 
 
+# the large-L limit of nu_c and the leading coefficient of (2N)^2 nu_nc
+NU_C_LIMIT = (3.0 * math.sqrt(3.0) - 5.0) / 2.0
+NU_NC_LEADING = 1.0 / math.sqrt(3.0)
+
+
+def series(kind, n, order):
+    """The truncated large-L series of `kind` at circumference 2n."""
+    return asymptotic_residual(kind, n, order)[1]
+
+
 def test_asymptotic_leading_constant():
-    assert abs(nu_c_asymptotic(17, 0) - 0.0980762113) < 1e-9
+    assert abs(series("nu_c", 17, 0) - 0.0980762113) < 1e-9
     assert abs(NU_C_LIMIT - 0.0980762113533) < 1e-11
-    assert nu_c_asymptotic(1, 1) == pytest.approx(NU_C_LIMIT + 1.0 / (16.0 * 3.0**0.5))
-    assert nu_nc_asymptotic(1, 0) == pytest.approx(1.0 / (4.0 * 3.0**0.5))
-    assert nu_nc_asymptotic(3, 0) == pytest.approx(NU_NC_LEADING / 36.0)
+    assert series("nu_c", 1, 1) == pytest.approx(NU_C_LIMIT + 1.0 / (16.0 * 3.0**0.5))
+    assert series("nu_nc", 1, 0) == pytest.approx(1.0 / (4.0 * 3.0**0.5))
+    assert series("nu_nc", 3, 0) == pytest.approx(NU_NC_LEADING / 36.0)
 
 
 def test_higher_order_truncations_improve():
     n = 50
     exact = float(nu_c_exact(n))
-    assert abs(exact - nu_c_asymptotic(n, 2)) < abs(exact - nu_c_asymptotic(n, 1))
-    assert abs(exact - nu_c_asymptotic(n, 1)) < abs(exact - nu_c_asymptotic(n, 0))
+    assert abs(exact - series("nu_c", n, 2)) < abs(exact - series("nu_c", n, 1))
+    assert abs(exact - series("nu_c", n, 1)) < abs(exact - series("nu_c", n, 0))
 
 
 def test_limits_at_large_n():
@@ -149,18 +155,16 @@ def test_nu_c_order2_remainder_bounded_and_stabilizing():
 
 
 def test_density_table():
-    table = density_table(2)
+    table = [density_record(n) for n in (1, 2)]
     assert [(r.L, r.nu_c, r.nu_nc) for r in table] == [
         (2, Fraction(1, 8), Fraction(1, 8)),
         (4, Fraction(17, 160), Fraction(11, 320)),
     ]
-    single = density_table(1)
-    assert len(single) == 1 and single[0].nu_c == single[0].nu_nc == Fraction(1, 8)
     assert all(r.method == METHOD_CLOSED_FORM for r in table)
 
 
 def test_table_monotonicity_and_bounds():
-    table = density_table(20)
+    table = [density_record(n) for n in range(1, 21)]
     for r in table:
         assert 0 < r.nu_c < 1
         assert 0 < r.nu_nc <= r.nu_c

@@ -26,8 +26,8 @@ from loopdens.fsz import (
     densities_from_solution,
     densities_via_tq,
     fq_fp_closed_eval,
+    _series_coeffs,
     hyp2f1_at_minus_one,
-    hyp2f1_terminating,
     kummer_contiguous,
     kummer_contiguous_numeric,
     kummer_parameter_sweep,
@@ -37,14 +37,12 @@ from loopdens.fsz import (
 
 
 def test_hyp2f1_terminating_basics():
-    assert hyp2f1_terminating(Fraction(1, 2), 0, Fraction(1, 3), 1) == ONE
+    assert hyp2f1_at_minus_one(Fraction(1, 2), 0, Fraction(1, 3)) == 1
     # two-term sums at the natural argument t = -x^3 with x = 1
-    assert hyp2f1_terminating(Fraction(-2, 3), -1, Fraction(1, 3), -1) == Cyclotomic(-1)
-    assert hyp2f1_terminating(Fraction(-1, 3), -1, Fraction(2, 3), -1) == Cyclotomic(
-        Fraction(1, 2)
-    )
+    assert hyp2f1_at_minus_one(Fraction(-2, 3), -1, Fraction(1, 3)) == -1
+    assert hyp2f1_at_minus_one(Fraction(-1, 3), -1, Fraction(2, 3)) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        hyp2f1_terminating(Fraction(1, 2), Fraction(1, 2), 1, 1)
+        hyp2f1_at_minus_one(Fraction(1, 2), Fraction(1, 2), 1)
 
 
 def test_build_fsz_n1_polynomials():
@@ -129,15 +127,6 @@ def test_densities_from_solution_checks_closed_form():
         densities_from_solution(tampered)
 
 
-def test_tq_density_record():
-    from loopdens.closed_form import METHOD_FSZ_DERIVATIVE
-    from loopdens.fsz import tq_density_record
-
-    rec = tq_density_record(2)
-    assert rec.method == METHOD_FSZ_DERIVATIVE
-    assert (rec.nu_c, rec.nu_nc) == (Fraction(17, 160), Fraction(11, 320))
-
-
 def test_derivative_bundle_contents():
     b = densities_via_tq(1)
     assert b.dln_t_dq == 3 * Fraction(1, 4) * b.a_value
@@ -159,8 +148,12 @@ def test_bethe_root_n1_is_half():
 def test_one_series_serves_the_sum_and_the_polynomial():
     a, b, c = Fraction(-11, 3), Fraction(-4), Fraction(2, 3)
     x = q_power(1) + 2
-    assert _series_poly_in_x(a, b, c)(x) == hyp2f1_terminating(a, b, c, -(x * x * x))
-    assert hyp2f1_terminating(a, b, c, -1) == Cyclotomic(hyp2f1_at_minus_one(a, b, c))
+    t = -(x * x * x)
+    horner = Cyclotomic(0)
+    for coef in reversed(_series_coeffs(a, b, c)):
+        horner = horner * t + coef
+    assert _series_poly_in_x(a, b, c)(x) == horner
+    assert _series_poly_in_x(a, b, c)(ONE) == Cyclotomic(hyp2f1_at_minus_one(a, b, c))
     with pytest.raises(GammaPoleError):
         _series_poly_in_x(a, b, Fraction(-1))
     with pytest.raises(ValueError):

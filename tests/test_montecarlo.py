@@ -229,6 +229,16 @@ def test_config_validation():
         MCConfig(L=4, H=10, seed=0).validate()
     with pytest.raises(ValueError):
         MCConfig(L=4, H=100, seed=0, replicas=0).validate()
+    # Philox takes 64 bits of the seed, so a wider seed would alias another
+    for seed in (-(2**63) - 1, 2**63, 2**64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            MCConfig(L=4, H=100, seed=seed).validate()
+
+
+def test_negative_seeds_map_one_to_one():
+    # within the range each seed keys Philox with its own 64-bit word
+    tiles = [_sample_tiles(MCConfig(L=4, H=40, seed=s), 0) for s in (-1, 1, 2**63 - 1, -(2**63))]
+    assert len({t.tobytes() for t in tiles}) == 4
 
 
 def test_run_needs_two_replicas():

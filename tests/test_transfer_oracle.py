@@ -19,7 +19,6 @@ from loopdens.transfer_oracle import (
     DegeneratePerronError,
     LinkState,
     TransferMatrix,
-    enumerate_states,
     matrix_json,
     oracle_densities,
     perron_eigenvectors,
@@ -186,16 +185,16 @@ def test_link_state_validation():
 
 
 def test_enumerate_states_counts():
-    assert len(enumerate_states(2)) == 2
-    assert len(enumerate_states(4)) == 6
+    assert len(row_transfer_matrix(2).states) == 2
+    assert len(row_transfer_matrix(4).states) == 6
     # regression values from the reachability closure
-    assert len(enumerate_states(6)) == 20
-    assert len(enumerate_states(8)) == 70
-    assert len(enumerate_states(10)) == 252
+    assert len(row_transfer_matrix(6).states) == 20
+    assert len(row_transfer_matrix(8).states) == 70
+    assert len(row_transfer_matrix(10).states) == 252
 
 
 def test_enumeration_is_closed():
-    pool = {(s.match, s.parity) for s in enumerate_states(4)}
+    pool = {(s.match, s.parity) for s in row_transfer_matrix(4).states}
     for s in pool:
         for diagram in _row_diagrams(4):
             t, _, _ = _apply_diagram(s, *diagram)
@@ -286,24 +285,26 @@ def test_transfer_matrix_l2_explicit():
 def test_perron_eigenvalue_and_vectors():
     for L in (2, 4, 6):
         tm = row_transfer_matrix(L)
-        left, right = perron_eigenvectors(tm)
+        right = perron_eigenvectors(tm)
         n = len(tm.states)
         lam = Fraction(2**L)
         for i in range(n):
             assert sum(Fraction(tm.counts[i][j]) * right[j] for j in range(n)) == lam * right[i]
-            assert sum(left[j] * Fraction(tm.counts[j][i]) for j in range(n)) == lam * left[i]
+            # the all-ones left vector: every column sums to the eigenvalue
+            assert sum(Fraction(tm.counts[j][i]) for j in range(n)) == lam
 
 
 def test_perron_left_vector_is_all_ones():
-    left, right = perron_eigenvectors(row_transfer_matrix(4))
-    assert left == [1] * 6
+    tm = row_transfer_matrix(4)
+    right = perron_eigenvectors(tm)
+    assert [sum(col) for col in zip(*tm.counts)] == [2**4] * 6
     assert all(isinstance(x, int) and x > 0 for x in right)
     assert math.gcd(*right) == 1
 
 
 def test_perron_right_vector_exact_at_l8():
     tm = row_transfer_matrix(8)
-    _, right = perron_eigenvectors(tm)
+    right = perron_eigenvectors(tm)
     assert len(right) == 70
     for row, r_i in zip(tm.counts, right):
         assert sum(x * y for x, y in zip(row, right)) == 2**8 * r_i
@@ -360,7 +361,7 @@ def test_perron_vector_sums_to_half_turn_symmetric_asm_count(L, total):
     # the ground state sums to A_HT(L) (Batchelor, de Gier and Nienhuis,
     # J. Phys. A 34, 2001; proved by Di Francesco and Zinn-Justin, 2005)
     assert half_turn_symmetric_asm_count(L) == total
-    _, right = perron_eigenvectors(row_transfer_matrix(L))
+    right = perron_eigenvectors(row_transfer_matrix(L))
     assert min(right) == 1
     assert sum(right) == half_turn_symmetric_asm_count(L)
 
@@ -376,12 +377,13 @@ def test_oracle_matches_closed_form_exactly(L):
 def test_combined_fugacity_derivative():
     # setting w = v and differentiating counts every closure once
     tm = row_transfer_matrix(4)
-    left, right = perron_eigenvectors(tm)
+    right = perron_eigenvectors(tm)
     lam = Fraction(2**4)
-    overlap = sum(x * y for x, y in zip(left, right))
+    # the left vector is all-ones, so l . r = sum(r)
+    overlap = sum(right)
     total = sum(
-        left[i] * (k[0] + k[1]) * c * right[j]
-        for (i, j), cell in tm.cells.items()
+        (k[0] + k[1]) * c * right[j]
+        for (_, j), cell in tm.cells.items()
         for k, c in cell.items()
     )
     assert total / (lam * overlap * 4) == nu_c_exact(2) + nu_nc_exact(2)
@@ -436,7 +438,7 @@ def test_size_guards():
     with pytest.raises(ValueError):
         sixvertex_check(ORACLE_MAX_L + 2)
     with pytest.raises(ValueError):
-        enumerate_states(14)
+        row_transfer_matrix(14)
     with pytest.raises(ValueError):
         oracle_densities(3)
 
