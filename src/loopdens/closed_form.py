@@ -16,6 +16,9 @@ symbols are the test reference (``tests/test_closed_form.py``); the
 equivalent gamma-function forms are kept as a floating-point cross-check, and
 the large-L asymptotic series are summed in mpmath only inside the
 high-precision residual helpers behind ``loopdens asymptote``.
+
+No route imports these forms: routes return only what they derive, and only
+the CLI and the verify suite in ``tq_identities`` compare the two.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-
-METHOD_CLOSED_FORM = "closed_form"
-METHOD_TRANSFER_ORACLE = "transfer_oracle"
 
 # mpmath working precision, in decimal digits, of the gamma forms and of the
 # asymptotic residuals
@@ -45,7 +45,6 @@ class DensityRecord:
     nu_nc: Fraction
     nu_c_float: float
     nu_nc_float: float
-    method: str = METHOD_CLOSED_FORM
 
 
 def _check_n(N: int):
@@ -169,7 +168,8 @@ def scaled_residual(kind: str, N: int, order: int) -> float:
     return abs(residual) * (2 * N) ** residual_scale_power(kind, order)
 
 
-def make_record(N: int, nu_c: Fraction, nu_nc: Fraction, method: str) -> DensityRecord:
+def density_record(N: int) -> DensityRecord:
+    nu_c, nu_nc = nu_c_exact(N), nu_nc_exact(N)
     return DensityRecord(
         L=2 * N,
         N=N,
@@ -177,9 +177,4 @@ def make_record(N: int, nu_c: Fraction, nu_nc: Fraction, method: str) -> Density
         nu_nc=nu_nc,
         nu_c_float=float(nu_c),
         nu_nc_float=float(nu_nc),
-        method=method,
     )
-
-
-def density_record(N: int) -> DensityRecord:
-    return make_record(N, nu_c_exact(N), nu_nc_exact(N), METHOD_CLOSED_FORM)

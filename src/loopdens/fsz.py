@@ -7,8 +7,8 @@ as terminating Gauss hypergeometric series in t = -x^3 with exact rational
 prefactors; Q and P are extracted by exact division by (1+x)^(2N).  The
 eigenvalue derivatives with respect to the deformation parameters are then
 rational combinations of Q, P and their derivatives evaluated at q^(+-2),
-computed here entirely in Q(w) and reduced to exact rationals that must equal
-the closed forms.
+computed here entirely in Q(w) and reduced to exact rationals, which the
+verify suite compares with the closed forms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .closed_form import _check_n, nu_c_exact, nu_nc_exact
 from .cyclotomic import (
     Cyclotomic,
     CycPoly,
@@ -108,7 +107,8 @@ def build_fsz(N: int) -> FszSolution:
     coefficient is an exact rational; this is asserted, together with
     deg Q = deg P = N.
     """
-    _check_n(N)
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     third = Fraction(1, 3)
     two_thirds = Fraction(2, 3)
 
@@ -254,8 +254,8 @@ def quantity_a(sol: FszSolution) -> Cyclotomic:
 def a_f_form_matches(sol: FszSolution) -> bool:
     """Whether the f_Q/f_P form of the derivative combination agrees exactly.
 
-    Reported, not enforced: the Q,P-form (validated against the closed-form
-    densities) is authoritative.
+    Reported, not enforced: the Q,P-form (whose densities the verify suite
+    compares with the closed forms) is authoritative.
     """
     return _a_from_f(sol) == _a_from_qp(sol)
 
@@ -281,9 +281,10 @@ def densities_from_solution(sol: FszSolution) -> DerivativeBundle:
     """Re-derive (nu_c, nu_nc) from the T-Q solution's derivatives.
 
     nu_c = 1/2 + (1 - q^-2)^(-1) / (2N) * d ln T(1)/dq  with
-    d ln T(1)/dq = 3 * 2^(-2N) * A, and nu_nc = -C / (2N * 2^(2N)).  Both must
-    reduce to exact rationals equal to the closed forms; any residual
-    w-component or mismatch is a hard failure of the derivation chain.
+    d ln T(1)/dq = 3 * 2^(-2N) * A, and nu_nc = -C / (2N * 2^(2N)).  Both
+    routes to A and to C must agree, nu_c and C must be rational and C < 0;
+    any failure raises RouteMismatchError.  The caller compares the densities
+    with the closed forms.
     """
     N = sol.N
     a_val = quantity_a(sol)
@@ -302,12 +303,6 @@ def densities_from_solution(sol: FszSolution) -> DerivativeBundle:
     nu_nc = -c_val.as_rational() * Fraction(1, 2 * N * 4**N)
     if c_val.as_rational() >= 0:
         raise RouteMismatchError(f"N={N}: C = {c_val.as_rational()} is not negative")
-
-    if nu_c != nu_c_exact(N) or nu_nc != nu_nc_exact(N):
-        raise RouteMismatchError(
-            f"N={N}: T-Q densities ({nu_c}, {nu_nc}) differ from closed forms "
-            f"({nu_c_exact(N)}, {nu_nc_exact(N)})"
-        )
     return DerivativeBundle(
         N=N,
         a_value=a_val,

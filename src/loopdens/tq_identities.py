@@ -4,12 +4,15 @@ Everything is checked as a polynomial identity over Q(w), never by sampling,
 which can silently alias at roots of unity.  The largest-eigenvalue sector has
 M = N = L/2, so the (-q)^(2M-L) factors of the general relations equal 1 and
 are compiled away throughout.
+
+The densities_match row is where the T-Q densities meet the closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .closed_form import nu_c_exact, nu_nc_exact
 from .cyclotomic import CycPoly, I_SQRT3, q_power
 from .fsz import (
     FszSolution,
@@ -112,10 +115,14 @@ def _fsz_consistency_rows(sol: FszSolution) -> list[VerifyResult]:
     # divisibility by (1+x)^(2N) already held or build_fsz would have raised
     rows.append(VerifyResult("fsz_divisible", n, True))
     try:
-        densities_via_tq(n)
-        rows.append(VerifyResult("densities_match", n, True))
+        b = densities_via_tq(n)
     except RouteMismatchError as exc:
         rows.append(VerifyResult("densities_match", n, False, str(exc)))
+    else:
+        c, nc = nu_c_exact(n), nu_nc_exact(n)
+        ok = (b.nu_c, b.nu_nc) == (c, nc)
+        detail = f"N={n}: T-Q densities ({b.nu_c}, {b.nu_nc}) differ from closed forms ({c}, {nc})"
+        rows.append(VerifyResult("densities_match", n, ok, "" if ok else detail))
     rows.append(VerifyResult("a_f_form", n, a_f_form_matches(sol)))
     for sign, name in ((1, "fqfp_closed_plus"), (-1, "fqfp_closed_minus")):
         try:

@@ -34,6 +34,9 @@ a unitary diagonal similarity.  Each magnetisation sector block is then
 exp(-i phi) A0 + exp(i phi) A1 with A0 and A1 integer matrices built once
 per L.  Lambda_max and its two eigenvectors give the twist derivative exactly
 (Hellmann-Feynman); phi -> -phi conjugates T, so Im Lambda_max must vanish.
+
+Both routes return only the numbers they derive; the caller compares them
+with the closed forms.
 """
 
 from __future__ import annotations
@@ -45,12 +48,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import (
-    DensityRecord,
-    METHOD_TRANSFER_ORACLE,
-    make_record,
-    nu_nc_exact,
-)
 from .errors import ComputationError
 
 # Largest circumference the exact oracle and the six-vertex check accept.
@@ -266,8 +263,8 @@ def perron_eigenvectors(tm: TransferMatrix) -> list[int]:
     return r
 
 
-def oracle_densities(L: int) -> DensityRecord:
-    """Exact loop densities from first-order Perron-eigenvalue perturbation.
+def oracle_densities(L: int) -> tuple[Fraction, Fraction]:
+    """(nu_c, nu_nc) exactly, from first-order Perron-eigenvalue perturbation.
 
     nu_c = (1/L) (l . dD/dw . r) / (Lambda l . r) at w = v = 1, and the same
     with dD/dv for nu_nc, everything over exact rationals.  The left vector l
@@ -280,7 +277,7 @@ def oracle_densities(L: int) -> DensityRecord:
     scale = 2 ** L * sum(right) * L
     nu_c = Fraction(sum(x * y for x, y in zip(tm.loops_c, right)), scale)
     nu_nc = Fraction(sum(x * y for x, y in zip(tm.loops_nc, right)), scale)
-    return make_record(L // 2, nu_c, nu_nc, METHOD_TRANSFER_ORACLE)
+    return nu_c, nu_nc
 
 
 def matrix_json(L: int) -> dict:
@@ -351,15 +348,14 @@ def sixvertex_transfer(L: int) -> list[tuple[np.ndarray, np.ndarray]]:
 class SixVertexReport:
     """lambda_max is Re Lambda; both errors are relative to 2^L on the complex
     Lambda.  nu_nc_fd is the Hellmann-Feynman nu_nc; it keeps the name of the
-    finite difference it replaced because the benchmark reads that name."""
+    finite difference it replaced because the benchmark reads that name.  The
+    caller compares nu_nc_fd with the closed form."""
 
     L: int
     lambda_max: float
     lambda_rel_error: float
     phi_symmetry_error: float
     nu_nc_fd: float
-    nu_nc_exact: float
-    nu_nc_error: float
 
 
 def sixvertex_check(L: int) -> SixVertexReport:
@@ -384,14 +380,10 @@ def sixvertex_check(L: int) -> SixVertexReport:
     w, v = np.linalg.eig((a0 / u + a1 * u).T)
     left = v[:, np.argmin(np.abs(w - lam))]
     dlam = left @ (1j * (a1 * u - a0 / u)) @ r / (left @ r)
-    nu_hf = float(-(dlam / lam).real / (2 * math.sqrt(3.0) * (L // 2)))
-    nu_exact = float(nu_nc_exact(L // 2))
     return SixVertexReport(
         L=L,
         lambda_max=float(lam.real),
         lambda_rel_error=float(abs(lam - 2 ** L)) / 2 ** L,
         phi_symmetry_error=2 * abs(float(lam.imag)) / 2 ** L,
-        nu_nc_fd=nu_hf,
-        nu_nc_exact=nu_exact,
-        nu_nc_error=abs(nu_hf - nu_exact),
+        nu_nc_fd=float(-(dlam / lam).real / (2 * math.sqrt(3.0) * (L // 2))),
     )

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import loopdens
 from loopdens import cli, montecarlo, tq_identities, transfer_oracle
 from loopdens.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from loopdens.closed_form import nu_c_exact, nu_nc_exact
 from loopdens.errors import ComputationError
 from loopdens.fsz import KUMMER_SHIFTS, kummer_parameter_sweep
 
@@ -60,6 +62,13 @@ def test_density_json_roundtrip():
     payload = json.loads(out)
     assert payload[0]["nu_c"] == {"num": 913, "den": 8960}
     assert payload[0]["nu_nc"] == {"num": 421, "den": 26880}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_mode_changes_only_the_text_format(fmt):
+    # csv and json always carry both the exact and the float fields
+    runs = {run_cli(["density", "--l", "2", "--mode", mode, "--format", fmt]) for mode in ("exact", "float")}
+    assert len(runs) == 1
 
 
 def test_verify_all_small():
@@ -213,6 +222,40 @@ def test_oracle_l6():
     code, out = run_cli(["oracle", "--l", "6"])
     assert code == EXIT_OK
     assert "913/8960" in out and "421/26880" in out and "EXACT-MATCH" in out
+
+
+def test_oracle_reports_a_wrong_pair_as_mismatch(monkeypatch):
+    # the route returns its pair; only the CLI compares it with the closed forms
+    wrong = nu_c_exact(2), nu_nc_exact(2) + Fraction(1, 2**20)
+    monkeypatch.setattr(cli, "oracle_densities", lambda L: wrong)
+    code, out = run_cli(["oracle", "--l", "4"])
+    assert code == EXIT_FAIL
+    assert out.splitlines() == [
+        "L=4",
+        f"oracle:      nu_c={wrong[0]}  nu_nc={wrong[1]}",
+        f"closed form: nu_c={nu_c_exact(2)}  nu_nc={nu_nc_exact(2)}",
+        "MISMATCH",
+    ]
+
+
+def test_verify_fsz_reports_wrong_tq_densities(monkeypatch):
+    # the T-Q route returns its densities; only the verify row compares them
+    route = tq_identities.densities_via_tq
+    shift = Fraction(1, 2**20)
+
+    def shifted(n):
+        bundle = route(n)
+        return dataclasses.replace(bundle, nu_c=bundle.nu_c + shift) if n == 2 else bundle
+
+    monkeypatch.setattr(tq_identities, "densities_via_tq", shifted)
+    code, out = run_cli(["verify", "fsz", "--n-max", "3", "--format", "json"])
+    assert code == EXIT_FAIL
+    failed = [r for r in json.loads(out) if r["status"] == "fail"]
+    assert [(r["identity"], r["N"]) for r in failed] == [("densities_match", 2)]
+    assert failed[0]["detail"] == (
+        f"N=2: T-Q densities ({nu_c_exact(2) + shift}, {nu_nc_exact(2)}) differ from "
+        f"closed forms ({nu_c_exact(2)}, {nu_nc_exact(2)})"
+    )
 
 
 def test_simulate_small_and_deterministic():
@@ -469,8 +512,6 @@ def unlimited_int_digits():
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_density_prints_rationals_past_the_int_digit_limit(fmt):
-    from loopdens.closed_form import nu_c_exact
-
     proc = run_cli_process(["density", "--l", "6400", "--format", fmt])
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""

@@ -4,10 +4,11 @@ forms, gamma cross-checks and asymptotics."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from loopdens.closed_form import (
-    METHOD_CLOSED_FORM,
+    _SERIES,
     asymptotic_residual,
     density_record,
     nu_c_exact,
@@ -139,6 +140,49 @@ def test_limits_at_large_n():
     assert abs((2 * n) ** 2 * float(nu_nc_exact(n)) - NU_NC_LEADING) < 1e-2
 
 
+# The abstract says the expansions reproduce earlier results in the leading
+# orders.  Those results are the Coulomb gas ones.  The loop weight is
+# n = -2 cos(pi g) with central charge c = 1 - 6 (1-g)^2 / g, and n = 1 at
+# g = 2/3 (Nienhuis, J. Stat. Phys. 34 (1984) 731).  A strip of width L gains
+# pi c / (6 L^2) in its free energy per site (Bloete, Cardy and Nightingale,
+# Phys. Rev. Lett. 56 (1986) 742), so (pi/6) dc/dn is the L^-2 coefficient
+# of the density of all loops, nu_c + nu_nc.  Weighting the non-contractible
+# loops alone by v = 2 cos(pi e) gives c = 1 - 6 e^2 / g, with v = 1 at
+# e = 1/3, so (pi/6) dc/dv is the L^-2 coefficient of nu_nc.
+
+
+def test_leading_orders_come_from_the_coulomb_gas():
+    (nu_c_root, nu_c_rational), nu_c_coeffs, nu_c_first = _SERIES["nu_c"]
+    _, nu_nc_coeffs, nu_nc_first = _SERIES["nu_nc"]
+    # the bulk density (3 sqrt(3) - 5) / 2 (Temperley and Lieb, 1971; Ziff,
+    # Finch and Adamchik, Phys. Rev. Lett. 79 (1997) 3447)
+    assert (nu_c_root, nu_c_rational) == (Fraction(3, 2), Fraction(-5, 2))
+    # the L^-2 coefficients, in units of 1/sqrt(3), sit at these indices
+    assert (nu_c_first, nu_nc_first) == (0, 1)
+    g, e = Fraction(2, 3), Fraction(1, 3)
+    assert 1 - 6 * (1 - g) ** 2 / g == 1 - 6 * e**2 / g == 0
+    dc_dg = 6 * (1 - g**2) / g**2
+    dc_de = -12 * e / g
+    # dn/dg = 2 pi sin(pi g) and dv/de = -2 pi sin(pi e) are +pi sqrt(3) and
+    # -pi sqrt(3) here, so (pi/6) dc/dn and (pi/6) dc/dv are these over sqrt(3)
+    all_loops, winding = dc_dg / 6, -dc_de / 6
+    assert all_loops == Fraction(5, 4) == nu_c_coeffs[1] + nu_nc_coeffs[0]
+    assert winding == 1 == nu_nc_coeffs[0]
+
+
+def test_coulomb_gas_derivatives_numerically():
+    # the same two derivatives by mp.diff, which checks the sines taken by hand
+    with mp.workdps(30):
+        g, e = mp.mpf(2) / 3, mp.mpf(1) / 3
+        dn_dg = mp.diff(lambda x: -2 * mp.cos(mp.pi * x), g)
+        dc_dg = mp.diff(lambda x: 1 - 6 * (1 - x) ** 2 / x, g)
+        dv_de = mp.diff(lambda x: 2 * mp.cos(mp.pi * x), e)
+        dc_de = mp.diff(lambda x: 1 - 6 * x**2 / g, e)
+        scale = mp.pi / 6 * mp.sqrt(3)
+        assert abs(scale * dc_dg / dn_dg - mp.mpf(5) / 4) < mp.mpf(10) ** -25
+        assert abs(scale * dc_de / dv_de - 1) < mp.mpf(10) ** -25
+
+
 def test_residual_ratio_scaling_nu_nc():
     # order-2 residual of nu_nc decays like (2N)^-8: doubling N gains ~2^8
     _, _, r64 = asymptotic_residual("nu_nc", 64, 2)
@@ -160,7 +204,6 @@ def test_density_table():
         (2, Fraction(1, 8), Fraction(1, 8)),
         (4, Fraction(17, 160), Fraction(11, 320)),
     ]
-    assert all(r.method == METHOD_CLOSED_FORM for r in table)
 
 
 def test_table_monotonicity_and_bounds():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loopdens.closed_form import METHOD_TRANSFER_ORACLE, nu_c_exact, nu_nc_exact
+from loopdens.closed_form import nu_c_exact, nu_nc_exact
 from loopdens import transfer_oracle
 from loopdens.transfer_oracle import (
     ORACLE_MAX_L,
@@ -368,10 +368,7 @@ def test_perron_vector_sums_to_half_turn_symmetric_asm_count(L, total):
 
 @pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
 def test_oracle_matches_closed_form_exactly(L):
-    rec = oracle_densities(L)
-    assert rec.nu_c == nu_c_exact(L // 2)
-    assert rec.nu_nc == nu_nc_exact(L // 2)
-    assert rec.method == METHOD_TRANSFER_ORACLE
+    assert oracle_densities(L) == (nu_c_exact(L // 2), nu_nc_exact(L // 2))
 
 
 def test_combined_fugacity_derivative():
@@ -449,7 +446,7 @@ def test_sixvertex_stochastic_point(L):
     assert rep.lambda_rel_error < 1e-9
     assert rep.phi_symmetry_error < 1e-9
     # the Hellmann-Feynman derivative is exact up to rounding
-    assert rep.nu_nc_error < 1e-12
+    assert abs(rep.nu_nc_fd - float(nu_nc_exact(L // 2))) < 1e-12
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
@@ -481,9 +478,8 @@ def test_sixvertex_check_takes_lambda_over_every_sector(monkeypatch, L):
 
 
 def test_sixvertex_fd_derivative_l4():
-    rep = sixvertex_check(4)
-    assert rep.nu_nc_error < 1e-6
-    assert rep.nu_nc_exact == pytest.approx(11.0 / 320.0)
+    assert abs(sixvertex_check(4).nu_nc_fd - float(nu_nc_exact(2))) < 1e-6
+    assert float(nu_nc_exact(2)) == pytest.approx(11.0 / 320.0)
 
 
 def test_sixvertex_weight_structure_at_stochastic_point():
