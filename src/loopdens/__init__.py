@@ -6,7 +6,7 @@ link-pattern transfer-matrix oracle, a numeric six-vertex cross-check and a
 Monte Carlo estimator.
 """
 
-from .closed_form import DensityRecord, density_record, nu_c_exact, nu_nc_exact
+from .closed_form import nu_c_exact, nu_nc_exact
 from .cyclotomic import Cyclotomic, CycPoly, gamma_ratio, pochhammer
 from .errors import ComputationError
 from .fsz import (
@@ -31,7 +31,6 @@ __all__ = [
     "ComputationError",
     "Cyclotomic",
     "CycPoly",
-    "DensityRecord",
     "DerivativeBundle",
     "FszSolution",
     "KUMMER_SHIFTS",
@@ -42,7 +41,6 @@ __all__ = [
     "bethe_residual",
     "build_fsz",
     "densities_via_tq",
-    "density_record",
     "fq_fp_closed_eval",
     "gamma_ratio",
     "kummer_contiguous",

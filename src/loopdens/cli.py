@@ -23,13 +23,7 @@ import sys
 
 import mpmath as mp
 
-from .closed_form import (
-    density_record,
-    nu_c_exact,
-    nu_nc_exact,
-    asymptotic_residual,
-    residual_scale_power,
-)
+from .closed_form import asymptotic_residual, nu_c_exact, nu_nc_exact, residual_scale_power
 from .errors import ComputationError
 from .fsz import (
     KUMMER_SHIFTS,
@@ -50,6 +44,11 @@ EXIT_USAGE = 2
 # density takes time quadratic in its digit count, which grows like L: about
 # 5 s at L = 200 000 and 100 s at L = 10^6.
 DENSITY_MAX_L = 100_000
+
+# Largest N that `verify --n-max` accepts.  The cost per N grows faster than
+# N^2: `verify all --n-max 200` takes 93 s on one core (Python 3.11), while
+# the three T-Q identities alone take 109 s at the single N = 1000.
+VERIFY_MAX_N = 200
 
 # `simulate` passes when each replica t statistic has a two-sided tail above
 # that of a standard normal beyond 4 sigma, i.e. |z| < 4 for the normal z of
@@ -83,41 +82,31 @@ class SystemExit2(Exception):
 
 
 def cmd_density(args, out) -> int:
-    ls = _parse_l_values(args)
-    records = [density_record(l // 2) for l in ls]
+    rows = [(l, nu_c_exact(l // 2), nu_nc_exact(l // 2)) for l in _parse_l_values(args)]
     if args.format == "text":
-        for r in records:
+        for l, c, nc in rows:
             if args.mode == "exact":
-                out.write(f"L={r.L}  nu_c={r.nu_c}  nu_nc={r.nu_nc}\n")
+                out.write(f"L={l}  nu_c={c}  nu_nc={nc}\n")
             else:
-                out.write(f"L={r.L}  nu_c={r.nu_c_float!r}  nu_nc={r.nu_nc_float!r}\n")
+                out.write(f"L={l}  nu_c={float(c)!r}  nu_nc={float(nc)!r}\n")
     elif args.format == "csv":
         w = csv.writer(out)
         w.writerow(["L", "nu_c_num", "nu_c_den", "nu_nc_num", "nu_nc_den", "nu_c_float", "nu_nc_float"])
-        for r in records:
-            w.writerow(
-                [
-                    r.L,
-                    r.nu_c.numerator,
-                    r.nu_c.denominator,
-                    r.nu_nc.numerator,
-                    r.nu_nc.denominator,
-                    repr(r.nu_c_float),
-                    repr(r.nu_nc_float),
-                ]
-            )
+        for l, c, nc in rows:
+            floats = [repr(float(c)), repr(float(nc))]
+            w.writerow([l, c.numerator, c.denominator, nc.numerator, nc.denominator, *floats])
     else:
         payload = [
             {
-                "L": r.L,
-                "N": r.N,
-                "nu_c": {"num": r.nu_c.numerator, "den": r.nu_c.denominator},
-                "nu_nc": {"num": r.nu_nc.numerator, "den": r.nu_nc.denominator},
-                "nu_c_float": r.nu_c_float,
-                "nu_nc_float": r.nu_nc_float,
+                "L": l,
+                "N": l // 2,
+                "nu_c": {"num": c.numerator, "den": c.denominator},
+                "nu_nc": {"num": nc.numerator, "den": nc.denominator},
+                "nu_c_float": float(c),
+                "nu_nc_float": float(nc),
                 "method": "closed_form",
             }
-            for r in records
+            for l, c, nc in rows
         ]
         out.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -144,8 +133,8 @@ def _kummer_rows(n_max: int) -> list[VerifyResult]:
 
 
 def cmd_verify(args, out) -> int:
-    if args.n_max < 1:
-        raise SystemExit2(f"--n-max must be >= 1, got {args.n_max}")
+    if not 1 <= args.n_max <= VERIFY_MAX_N:
+        raise SystemExit2(f"--n-max must be in [1, {VERIFY_MAX_N}], got {args.n_max}")
     rows: list[VerifyResult] = []
     if args.suite in ("tq", "all"):
         rows += [r for r in verify_suite(args.n_max, include_fsz=False)]

@@ -12,10 +12,10 @@ which the duplication formula turns into a ratio of two central binomials:
 With R = p/q, ``nu_c_exact`` returns 3R/4 + 9/(4R) - 5/2 and ``nu_nc_exact``
 returns (R - 3/R)/(4N), each as one Fraction built from a fixed number of
 big-integer operations.  The paper's forms in factorials and Pochhammer
-symbols are the test reference (``tests/test_closed_form.py``); the
-equivalent gamma-function forms are kept as a floating-point cross-check, and
-the large-L asymptotic series are summed in mpmath only inside the
-high-precision residual helpers behind ``loopdens asymptote``.
+symbols, and the equivalent gamma-function forms in floating point, are the
+test references (``tests/test_closed_form.py``); the large-L asymptotic series
+are summed in mpmath only inside the high-precision residual helper behind
+``loopdens asymptote``.
 
 No route imports these forms: routes return only what they derive, and only
 the CLI and the verify suite in ``tq_identities`` compare the two.
@@ -24,27 +24,12 @@ the CLI and the verify suite in ``tq_identities`` compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-# mpmath working precision, in decimal digits, of the gamma forms and of the
-# asymptotic residuals
-_GAMMA_DPS = 50
+# mpmath working precision, in decimal digits, of the asymptotic residuals
 _RESIDUAL_DPS = 60
-
-
-@dataclass(frozen=True)
-class DensityRecord:
-    """One cylinder circumference's pair of loop densities."""
-
-    L: int
-    N: int
-    nu_c: Fraction
-    nu_nc: Fraction
-    nu_c_float: float
-    nu_nc_float: float
 
 
 def _check_n(N: int):
@@ -71,43 +56,6 @@ def nu_nc_exact(N: int) -> Fraction:
     _check_n(N)
     p, q = _binomial_ratio(N)
     return Fraction(p * p - 3 * q * q, 4 * N * p * q)
-
-
-def nu_c_gamma_form(N: int) -> float:
-    """Gamma-function form of nu_c, evaluated in high-precision floats.
-
-    Cross-check only; the rational form is the production path.
-    """
-    _check_n(N)
-    with mp.workdps(_GAMMA_DPS):
-        n = mp.mpf(N)
-        t1 = 3 * mp.gamma(n / 2) * mp.gamma(3 * n / 2 + mp.mpf(1) / 2) / (
-            4 * mp.gamma(3 * n / 2) * mp.gamma((n + 1) / 2)
-        )
-        t2 = (
-            mp.pi**2
-            * mp.mpf(2) ** (-2 * n)
-            * mp.mpf(3) ** (2 - 3 * n)
-            * mp.gamma(3 * n)
-            / (
-                mp.gamma(n / 2 + mp.mpf(1) / 6) ** 2
-                * mp.gamma(n / 2 + mp.mpf(5) / 6) ** 2
-                * mp.gamma(n)
-            )
-        )
-        return float(t1 + t2 - mp.mpf(5) / 2)
-
-
-def nu_nc_gamma_form(N: int) -> float:
-    """Gamma-function form of nu_nc (floating-point cross-check)."""
-    _check_n(N)
-    with mp.workdps(_GAMMA_DPS):
-        n = mp.mpf(N)
-        pref = mp.mpf(2) ** (2 * (n - 2)) * mp.gamma(n) / (n * mp.pi**2 * mp.gamma(3 * n))
-        bracket = mp.mpf(3) ** (3 * n) * mp.gamma(n / 2 + mp.mpf(1) / 6) ** 2 * mp.gamma(
-            n / 2 + mp.mpf(5) / 6
-        ) ** 2 - 12 * mp.pi**2 * mp.gamma(3 * n / 2) ** 2 / mp.gamma(n / 2) ** 2
-        return float(pref * bracket)
 
 
 # Large-L series per density kind: (limit, coefficients, first power), the
@@ -160,21 +108,3 @@ def residual_scale_power(kind: str, order: int) -> int:
     """Power of (2N) that turns the order-`order` residual into a plateau."""
     _, _, first = _series(kind, order)
     return 2 * (first + order + 1)
-
-
-def scaled_residual(kind: str, N: int, order: int) -> float:
-    """(2N)^p * |exact - series| with the plateau-correct power p."""
-    _, _, residual = asymptotic_residual(kind, N, order)
-    return abs(residual) * (2 * N) ** residual_scale_power(kind, order)
-
-
-def density_record(N: int) -> DensityRecord:
-    nu_c, nu_nc = nu_c_exact(N), nu_nc_exact(N)
-    return DensityRecord(
-        L=2 * N,
-        N=N,
-        nu_c=nu_c,
-        nu_nc=nu_nc,
-        nu_c_float=float(nu_c),
-        nu_nc_float=float(nu_nc),
-    )

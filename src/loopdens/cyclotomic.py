@@ -157,10 +157,6 @@ class Cyclotomic:
             raise ValueError(f"{self!r} has a nonzero w-component")
         return self.a
 
-    def real_part(self) -> Fraction:
-        """Exact real part a + b/2 (Re w = 1/2)."""
-        return self.a + self.b / 2
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

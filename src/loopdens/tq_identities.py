@@ -54,16 +54,11 @@ def _bracket(sol: FszSolution, k: int) -> CycPoly:
     return num * I_SQRT3.inverse()
 
 
-def reconstruct_t(sol: FszSolution) -> CycPoly:
-    """T(u) rebuilt from Q and P:
-    [q^2 Q(q^2 u) P(q^-2 u) - q^-2 Q(q^-2 u) P(q^2 u)] / (q - q^-1)."""
-    return _bracket(sol, 2)
-
-
 def verify_t_form(sol: FszSolution) -> VerifyResult:
-    """T reconstructed from Q, P equals (1+x)^(2N), and T(1) = 2^(2N)."""
+    """T rebuilt from Q, P as the bracket at k = 2 equals (1+x)^(2N), and
+    T(1) = 2^(2N)."""
     n = sol.N
-    t = reconstruct_t(sol)
+    t = _bracket(sol, 2)
     k = _first_mismatch(t, sol.t_poly)
     if k is not None:
         return VerifyResult("t_form", n, False, f"coefficient {k} differs")

@@ -15,7 +15,6 @@ from loopdens.closed_form import (
     nu_c_exact,
     nu_nc_exact,
     residual_scale_power,
-    scaled_residual,
 )
 from loopdens.fsz import (
     KUMMER_SHIFTS,
@@ -127,6 +126,12 @@ def test_criterion_6_kummer_contiguous():
         elapsed,
         f"{cases} cases, worst {worst:.2e}",
     )
+
+
+def scaled_residual(kind, n, order):
+    """(2n)^p |exact - series|, with the power p at which it plateaus."""
+    _, _, residual = asymptotic_residual(kind, n, order)
+    return abs(residual) * (2 * n) ** residual_scale_power(kind, order)
 
 
 def test_criterion_7_asymptotics():

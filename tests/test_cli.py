@@ -297,6 +297,22 @@ def test_simulate_json_golden_hash(args, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the density stdout at L = 2..12, pinned byte for byte in each format
+DENSITY_SHA256 = [
+    (["--format", "text", "--mode", "exact"], "73cd6f4af8d0dadf3aeb221f9c883b601a1b96836cacf0506580100a04eb38b3"),
+    (["--format", "text", "--mode", "float"], "d817fcfdddaa828784a466150e94a149b193101fcc88700ecec4835d44c52ef9"),
+    (["--format", "csv"], "7391a1d215583dfdc22627b59f18a5e61c1a5ee1dd3e6b0f0fdf88ccac7a22b6"),
+    (["--format", "json"], "d688c66c4b24e7a8773b16e368b74776dc15ca0c43a44df5f474df6929dfb65d"),
+]
+
+
+@pytest.mark.parametrize("args, digest", DENSITY_SHA256, ids=["text-exact", "text-float", "csv", "json"])
+def test_density_golden_hash(args, digest):
+    code, out = run_cli(["density", "--l-range", "2:12", *args])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_height_guard():
     code, _ = run_cli(["simulate", "--l", "4", "--height", "10"])
     assert code == EXIT_USAGE
@@ -438,6 +454,13 @@ def test_oracle_dump_path_checked_before_oracle_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "oracle_densities", not_reached)
     code, out = run_cli(["oracle", "--l", "4", "--dump-matrix", str(tmp_path / "missing" / "x.json")])
     assert code == EXIT_USAGE and out == ""
+
+
+def test_verify_n_max_bound():
+    assert cli.VERIFY_MAX_N >= 25  # the benchmark's tq_chain runs --n-max 25
+    proc = run_cli_process(["verify", "all", "--n-max", str(cli.VERIFY_MAX_N + 1)])
+    assert_contract(proc, EXIT_USAGE)
+    assert f"[1, {cli.VERIFY_MAX_N}], got {cli.VERIFY_MAX_N + 1}" in proc.stderr
 
 
 def test_oracle_l_bound_message_reads_the_constant():

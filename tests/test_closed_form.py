@@ -10,13 +10,9 @@ import pytest
 from loopdens.closed_form import (
     _SERIES,
     asymptotic_residual,
-    density_record,
     nu_c_exact,
-    nu_c_gamma_form,
     nu_nc_exact,
-    nu_nc_gamma_form,
     _binomial_ratio,
-    scaled_residual,
 )
 from loopdens.cyclotomic import pochhammer
 
@@ -64,6 +60,42 @@ def paper_nu_nc(N):
         Fraction(3 * 2 ** (2 * (N - 1)) * math.factorial(N - 1), N * math.factorial(3 * N - 1))
         * bracket
     )
+
+
+# mpmath working precision, in decimal digits, of the gamma forms
+GAMMA_DPS = 50
+
+
+def nu_c_gamma_form(N):
+    """The paper's nu_c in gamma functions, as a float (reference)."""
+    with mp.workdps(GAMMA_DPS):
+        n = mp.mpf(N)
+        t1 = 3 * mp.gamma(n / 2) * mp.gamma(3 * n / 2 + mp.mpf(1) / 2) / (
+            4 * mp.gamma(3 * n / 2) * mp.gamma((n + 1) / 2)
+        )
+        t2 = (
+            mp.pi**2
+            * mp.mpf(2) ** (-2 * n)
+            * mp.mpf(3) ** (2 - 3 * n)
+            * mp.gamma(3 * n)
+            / (
+                mp.gamma(n / 2 + mp.mpf(1) / 6) ** 2
+                * mp.gamma(n / 2 + mp.mpf(5) / 6) ** 2
+                * mp.gamma(n)
+            )
+        )
+        return float(t1 + t2 - mp.mpf(5) / 2)
+
+
+def nu_nc_gamma_form(N):
+    """The paper's nu_nc in gamma functions, as a float (reference)."""
+    with mp.workdps(GAMMA_DPS):
+        n = mp.mpf(N)
+        pref = mp.mpf(2) ** (2 * (n - 2)) * mp.gamma(n) / (n * mp.pi**2 * mp.gamma(3 * n))
+        bracket = mp.mpf(3) ** (3 * n) * mp.gamma(n / 2 + mp.mpf(1) / 6) ** 2 * mp.gamma(
+            n / 2 + mp.mpf(5) / 6
+        ) ** 2 - 12 * mp.pi**2 * mp.gamma(3 * n / 2) ** 2 / mp.gamma(n / 2) ** 2
+        return float(pref * bracket)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -193,24 +225,22 @@ def test_residual_ratio_scaling_nu_nc():
 
 def test_nu_c_order2_remainder_bounded_and_stabilizing():
     # (2N)^6 x |exact - order-2 series| plateaus at the next series coefficient
-    values = [scaled_residual("nu_c", n, 2) for n in (25, 50, 100, 200)]
+    values = [abs(asymptotic_residual("nu_c", n, 2)[2]) * (2 * n) ** 6 for n in (25, 50, 100, 200)]
     assert all(v < 2.0 for v in values)
     assert abs(values[-1] - values[-2]) < 0.01 * values[-1]
 
 
 def test_density_table():
-    table = [density_record(n) for n in (1, 2)]
-    assert [(r.L, r.nu_c, r.nu_nc) for r in table] == [
-        (2, Fraction(1, 8), Fraction(1, 8)),
-        (4, Fraction(17, 160), Fraction(11, 320)),
+    assert [(nu_c_exact(n), nu_nc_exact(n)) for n in (1, 2)] == [
+        (Fraction(1, 8), Fraction(1, 8)),
+        (Fraction(17, 160), Fraction(11, 320)),
     ]
 
 
 def test_table_monotonicity_and_bounds():
-    table = [density_record(n) for n in range(1, 21)]
-    for r in table:
-        assert 0 < r.nu_c < 1
-        assert 0 < r.nu_nc <= r.nu_c
-        assert r.nu_c_float == float(r.nu_c)
-    nc = [r.nu_nc for r in table]
+    table = [(nu_c_exact(n), nu_nc_exact(n)) for n in range(1, 21)]
+    for nu_c, nu_nc in table:
+        assert 0 < nu_c < 1
+        assert 0 < nu_nc <= nu_c
+    nc = [nu_nc for _, nu_nc in table]
     assert all(a > b for a, b in zip(nc, nc[1:]))

@@ -76,3 +76,75 @@ def test_every_export_resolves():
     assert len(set(loopdens.__all__)) == len(loopdens.__all__)
     for name in loopdens.__all__:
         assert getattr(loopdens, name) is not None
+
+
+
+# Public names with no caller yet.  The ROADMAP item "Bethe-root check" gives
+# bethe_residual a CLI caller; until then only the tests call it.
+UNCALLED = {"bethe_residual"}
+
+BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
+
+
+def public_definitions(path: Path):
+    """(qualified name, name, first line, last line) of each public top-level
+    function and class of the module at `path`, and of each public method of
+    its classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+
+
+def uncalled_names(package: Path, benchmarks: Path) -> set[str]:
+    """The public names of `package` that no module of it but __init__, and no
+    script under `benchmarks` outside its tests, reads outside the name's own
+    definition.  Imports are not reads.  Names are matched by spelling alone,
+    so a method counts as called when any attribute of that name is read."""
+    modules = [p for p in package.glob("*.py") if p.stem != "__init__"]
+    scripts = [p for p in benchmarks.rglob("*.py") if "tests" not in p.relative_to(benchmarks).parts]
+    reads = {}  # name -> [(path, line)]
+    for path in modules + scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append((path, node.lineno))
+    return {
+        qualname
+        for module in modules
+        for qualname, name, first, last in public_definitions(module)
+        if all(path == module and first <= line <= last for path, line in reads.get(name, []))
+    }
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert uncalled_names(PACKAGE, BENCHMARKS) == UNCALLED
+
+
+def test_the_caller_scan_ignores_tests_imports_and_self_calls(tmp_path):
+    package, benchmarks = tmp_path / "pkg", tmp_path / "benchmarks"
+    (benchmarks / "tests").mkdir(parents=True)
+    package.mkdir()
+    (package / "__init__.py").write_text("from .a import Box, alone, used\nalone()\n", encoding="utf-8")
+    (package / "a.py").write_text(
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return self.size()\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "def alone():\n"
+        "    return alone()\n"
+        "def used():\n"
+        "    return Box()\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text("from .a import alone, used\nused()\n", encoding="utf-8")
+    (benchmarks / "tests" / "check.py").write_text("import pkg\npkg.Box().size()\n", encoding="utf-8")
+    assert uncalled_names(package, benchmarks) == {"Box.size", "alone"}
+    (benchmarks / "run.py").write_text("import pkg\npkg.alone()\n", encoding="utf-8")
+    assert uncalled_names(package, benchmarks) == {"Box.size"}

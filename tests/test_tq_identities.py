@@ -8,7 +8,7 @@ from loopdens.closed_form import nu_c_exact, nu_nc_exact
 from loopdens.cyclotomic import CycPoly, ONE, q_power
 from loopdens.fsz import build_fsz, densities_from_solution
 from loopdens.tq_identities import (
-    reconstruct_t,
+    _bracket,
     verify_suite,
     verify_t_form,
     verify_tq_tp,
@@ -18,7 +18,7 @@ from loopdens.tq_identities import (
 
 def test_t_form_n1():
     sol = build_fsz(1)
-    t = reconstruct_t(sol)
+    t = _bracket(sol, 2)
     assert t == CycPoly([1, 2, 1])
     assert t(1).as_rational() == 4
     assert verify_t_form(sol)
@@ -26,7 +26,7 @@ def test_t_form_n1():
 
 def test_t1_value_n3():
     sol = build_fsz(3)
-    assert reconstruct_t(sol)(1).as_rational() == 64
+    assert _bracket(sol, 2)(1).as_rational() == 64
 
 
 def test_wronskian_n1_by_hand():
